@@ -10,8 +10,17 @@
 //! numbers are held as `f64` (every integer the campaign format emits is
 //! below 2^53, so the round-trip is exact), and object keys keep their
 //! first-seen order (duplicates are rejected).
+//!
+//! The reader is recursive descent, so nesting is bounded by
+//! [`MAX_DEPTH`]: deeper input is a [`ParseError`], never a stack
+//! overflow. Serve request lines and campaign exports are untrusted.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts: far above what the
+/// campaign format or a serve request uses, far below what overflows a
+/// serve connection thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value plus the source position it started at.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,6 +152,7 @@ pub fn parse(src: &str) -> Result<Json, ParseError> {
         pos: 0,
         line: 1,
         col: 1,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -158,6 +168,8 @@ struct Parser<'a> {
     pos: usize,
     line: u32,
     col: u32,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -206,8 +218,11 @@ impl<'a> Parser<'a> {
         let (line, col) = (self.line, self.col);
         let wrap = |value| Json { value, line, col };
         match self.peek() {
-            Some(b'{') => self.object().map(wrap),
-            Some(b'[') => self.array().map(wrap),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.nested(Self::object).map(wrap),
+            Some(b'[') => self.nested(Self::array).map(wrap),
             Some(b'"') => self.string().map(|s| wrap(Value::Str(s))),
             Some(b't') => self.keyword("true").map(|()| wrap(Value::Bool(true))),
             Some(b'f') => self.keyword("false").map(|()| wrap(Value::Bool(false))),
@@ -218,6 +233,17 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Run `parse` one nesting level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn keyword(&mut self, kw: &str) -> Result<(), ParseError> {

@@ -8,7 +8,8 @@
 //!    `catch_unwind`; a panicking request becomes an `internal_error`
 //!    reply and a counter bump, never a dead server. Slow or vanished
 //!    clients hit write timeouts and are dropped, never block a thread
-//!    forever.
+//!    forever. A request line is bounded in length and in JSON nesting
+//!    depth, so no line can exhaust memory or a thread's stack.
 //! 2. **Overload is explicit.** Admission is bounded two ways — a
 //!    connection cap (excess connections get one `overloaded` line and
 //!    are closed) and an in-flight request cap (excess requests on live
@@ -46,6 +47,28 @@
 //! reply, so `match`/`analyze` replies are byte-comparable across
 //! reloads of identical content — the property the hot-reload atomicity
 //! test locks.
+//!
+//! ## Answers come from the generation
+//!
+//! Every `match`/`analyze` reply is a pure function of the loaded export
+//! and a few request fields, so a [`StoreGen`] answers each distinct
+//! request once. Loading a generation runs the exact, RM1 and RM2
+//! matchers through [`dmsa_core::PreparedStore::match_window`], the
+//! offline path, so served sets are byte-identical to `dmsa match`. The
+//! generation's reply memo is keyed by `cmd`, the raw `method` string
+//! (echoed in `match` replies), `report` and `full`. The first request
+//! for a key renders its reply (and runs the scored matcher, for
+//! `scored:<t>`); later ones are served the stored bytes. The memo is
+//! capped at [`MEMO_MAX_ENTRIES`] replies and [`MEMO_MAX_BYTES`] bytes;
+//! past the cap a reply is computed and sent, not kept. It needs no
+//! invalidation: it belongs to the generation and retires with it.
+//! `health`, `reload`, `shutdown` and the debug commands are never
+//! memoized.
+//!
+//! The deadline bounds the computing requests: a memo miss is checked
+//! once its reply is computed (a late reply is still memoized, so a
+//! retry is a hit), and `debug_sleep` checks it as it sleeps. A hit
+//! does no work, so it is not checked.
 
 use crate::export::CampaignExport;
 use crate::json::{self, push_str_lit};
@@ -55,19 +78,21 @@ use dmsa_core::{MatchMethod, MatchSet, ScoredMatcher, SharedPrepared, StoreSwap}
 use dmsa_gridnet::HealthSummary;
 use dmsa_rucio_sim::TransferPathStats;
 use dmsa_simcore::interval::Interval;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How many jobs a `match` request processes between deadline checks.
-/// Cancellation is cooperative; this bounds how far past the deadline a
-/// request can run.
-const DEADLINE_STRIDE: usize = 1024;
+/// Most replies one generation's memo keeps.
+pub const MEMO_MAX_ENTRIES: usize = 64;
+/// Most reply bytes one generation's memo keeps.
+pub const MEMO_MAX_BYTES: usize = 64 << 20;
 
 /// How long connection threads and the accept loop sleep between polls
 /// of the drain/reload/readable state. Bounds signal-to-action latency.
@@ -140,6 +165,105 @@ pub struct StoreGen {
     pub source: String,
     /// Records the lenient loader quarantined while loading it.
     pub quarantined: u64,
+    /// The window's exact, RM1 and RM2 match sets, in that order.
+    sets: [MatchSet; 3],
+    /// Replies this generation has computed.
+    memo: ReplyMemo,
+}
+
+impl StoreGen {
+    /// The match set of a `method` string: precomputed for exact/RM1/RM2,
+    /// computed here for `scored[:T]`.
+    fn match_set(&self, method: &str) -> Result<Cow<'_, MatchSet>, ReqError> {
+        let i = match MatcherChoice::parse(method).map_err(ReqError::BadRequest)? {
+            MatcherChoice::Exact => 0,
+            MatcherChoice::Rm1 => 1,
+            MatcherChoice::Rm2 => 2,
+            MatcherChoice::Scored(t) => {
+                let scored = ScoredMatcher::default();
+                return Ok(Cow::Owned(scored.match_jobs_scored(
+                    self.shared.store(),
+                    self.window,
+                    t,
+                )));
+            }
+        };
+        Ok(Cow::Borrowed(&self.sets[i]))
+    }
+}
+
+/// What a memoized reply depends on besides the generation: the request
+/// fields that change its bytes.
+#[derive(Hash, PartialEq, Eq)]
+struct MemoKey {
+    analyze: bool,
+    /// Raw, as sent: `match` echoes it.
+    method: Option<String>,
+    /// `analyze` only.
+    report: Option<String>,
+    /// `match` only.
+    full: bool,
+}
+
+impl MemoKey {
+    fn of(req: &json::Json, analyze: bool) -> MemoKey {
+        let field = |k| req.get(k).and_then(|v| v.as_str()).map(str::to_owned);
+        MemoKey {
+            analyze,
+            method: field("method"),
+            report: if analyze { field("report") } else { None },
+            full: !analyze && req.get("full").and_then(|f| f.as_bool()) == Some(true),
+        }
+    }
+}
+
+/// One generation's `match`/`analyze` replies, bounded by
+/// [`MEMO_MAX_ENTRIES`] and [`MEMO_MAX_BYTES`].
+#[derive(Default)]
+struct ReplyMemo {
+    replies: Mutex<MemoTable>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+#[derive(Default)]
+struct MemoTable {
+    map: HashMap<MemoKey, Reply>,
+    bytes: usize,
+}
+
+impl ReplyMemo {
+    fn table(&self) -> MutexGuard<'_, MemoTable> {
+        self.replies.lock().expect("reply memo poisoned")
+    }
+
+    fn get(&self, key: &MemoKey) -> Option<Reply> {
+        let hit = self.table().map.get(key).cloned();
+        let tally = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        tally.fetch_add(1, Ordering::Relaxed);
+        hit
+    }
+
+    /// Keep `reply` under `key`, unless that would pass a cap.
+    fn insert(&self, key: MemoKey, reply: &Reply) {
+        let mut t = self.table();
+        if t.map.len() < MEMO_MAX_ENTRIES && t.bytes + reply.len() <= MEMO_MAX_BYTES {
+            // A racing miss may have stored the same bytes first.
+            if t.map.insert(key, Arc::clone(reply)).is_none() {
+                t.bytes += reply.len();
+            }
+        }
+    }
+
+    /// `(entries, bytes)` held now.
+    fn size(&self) -> (usize, usize) {
+        let t = self.table();
+        (t.map.len(), t.bytes)
+    }
 }
 
 /// Parse + validate + index an export into a servable [`StoreGen`].
@@ -147,8 +271,9 @@ pub struct StoreGen {
 /// This is the *whole* reload path minus the swap: strict format-version
 /// checking and record quarantine happen inside `from_json_lenient`, the
 /// quarantine fraction is checked against `max_quarantine_frac`, and the
-/// prepared index is built — all before the caller decides to swap. Any
-/// `Err` here therefore leaves a running server untouched.
+/// prepared index is built and matched with all three methods — all
+/// before the caller decides to swap. Any `Err` here therefore leaves a
+/// running server untouched.
 pub fn load_store_gen(
     campaign_json: &str,
     source: &str,
@@ -171,18 +296,23 @@ pub fn load_store_gen(
         }
     }
     let export = loaded.export;
+    let shared = SharedPrepared::build(export.store);
+    let sets = [MatchMethod::Exact, MatchMethod::Rm1, MatchMethod::Rm2]
+        .map(|m| shared.prepared().match_window(export.window, m));
     Ok(StoreGen {
-        shared: SharedPrepared::build(export.store),
+        shared,
         window: export.window,
         path_stats: export.path_stats,
         health: export.health,
         source: source.to_string(),
         quarantined,
+        sets,
+        memo: ReplyMemo::default(),
     })
 }
 
-/// Monotonic counters exposed through the `health` reply. All relaxed:
-/// they are telemetry, not synchronization.
+/// Monotonic counters and time sums exposed through the `health` reply.
+/// All relaxed: they are telemetry, not synchronization.
 #[derive(Default)]
 pub struct Counters {
     /// Requests answered with `"ok":true`.
@@ -202,6 +332,17 @@ pub struct Counters {
     pub reloads_ok: AtomicU64,
     /// Reloads rejected with the old generation left serving.
     pub reloads_failed: AtomicU64,
+    /// Nanoseconds spent parsing request lines.
+    pub parse_ns: AtomicU64,
+    /// Nanoseconds spent computing memo misses.
+    pub compute_ns: AtomicU64,
+    /// Nanoseconds spent writing replies.
+    pub write_ns: AtomicU64,
+}
+
+/// Add the time since `since` to a nanosecond sum.
+fn add_elapsed(sum: &AtomicU64, since: Instant) {
+    sum.fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
 /// Shared mutable state of a running server.
@@ -461,21 +602,20 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServeState>, cfg: &Serve
     loop {
         // Serve any complete lines already buffered.
         while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
             if discarding {
                 // The newline ends the oversized line; the connection
                 // is back in sync from here.
                 discarding = false;
-                continue;
+            } else {
+                let line = String::from_utf8_lossy(&buf[..pos]);
+                if !line.trim().is_empty() {
+                    let reply = serve_request(&line, state, cfg);
+                    if !write_reply(&mut stream, &reply, state) {
+                        return;
+                    }
+                }
             }
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-            if line.trim().is_empty() {
-                continue;
-            }
-            let reply = serve_request(&line, state, cfg);
-            if !write_reply(&mut stream, &reply, state) {
-                return;
-            }
+            buf.drain(..=pos);
         }
         if discarding {
             buf.clear(); // still mid-line: drop the partial tail
@@ -514,13 +654,10 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServeState>, cfg: &Serve
 /// client is too slow or gone — the caller closes the connection; the
 /// process carries on.
 fn write_reply(stream: &mut TcpStream, reply: &str, state: &Arc<ServeState>) -> bool {
-    let mut framed = String::with_capacity(reply.len() + 1);
-    framed.push_str(reply);
-    framed.push('\n');
-    match stream
-        .write_all(framed.as_bytes())
-        .and_then(|()| stream.flush())
-    {
+    let started = Instant::now();
+    let written = stream.write_all(reply.as_bytes());
+    add_elapsed(&state.counters.write_ns, started);
+    match written {
         Ok(()) => true,
         Err(e) => {
             if matches!(
@@ -538,7 +675,7 @@ fn write_reply(stream: &mut TcpStream, reply: &str, state: &Arc<ServeState>) -> 
 }
 
 /// Admission + panic containment around one request.
-fn serve_request(line: &str, state: &Arc<ServeState>, cfg: &ServeConfig) -> String {
+fn serve_request(line: &str, state: &Arc<ServeState>, cfg: &ServeConfig) -> Reply {
     if state.draining.load(Ordering::Relaxed) {
         return err_reply("shutting_down", None);
     }
@@ -566,7 +703,16 @@ fn serve_request(line: &str, state: &Arc<ServeState>, cfg: &ServeConfig) -> Stri
     }
 }
 
-fn err_reply(error: &str, detail: Option<&str>) -> String {
+/// One reply line, newline included. Memoized replies are shared, so a
+/// hit is written without a copy.
+type Reply = Arc<str>;
+
+fn reply_line(mut body: String) -> Reply {
+    body.push('\n');
+    Reply::from(body)
+}
+
+fn err_reply(error: &str, detail: Option<&str>) -> Reply {
     let mut o = String::from("{\"ok\":false,\"error\":");
     push_str_lit(&mut o, error);
     if let Some(d) = detail {
@@ -574,31 +720,87 @@ fn err_reply(error: &str, detail: Option<&str>) -> String {
         push_str_lit(&mut o, d);
     }
     o.push('}');
-    o
+    reply_line(o)
 }
 
-/// Dispatch one parsed request. Runs inside the permit + catch_unwind.
-fn handle_request(line: &str, state: &Arc<ServeState>, cfg: &ServeConfig) -> String {
-    let req = match json::parse(line) {
-        Ok(j) => j,
-        Err(e) => {
-            state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return err_reply("bad_request", Some(&format!("parse: {e}")));
+/// Why a request handler failed. The reply's `error` and the counter it
+/// bumps both follow from the kind.
+#[derive(Debug)]
+enum ReqError {
+    BadRequest(String),
+    DeadlineExceeded,
+    Internal(String),
+    ReloadFailed(String),
+}
+
+impl ReqError {
+    fn reply(&self) -> Reply {
+        match self {
+            ReqError::BadRequest(d) => err_reply("bad_request", Some(d)),
+            ReqError::DeadlineExceeded => err_reply("deadline_exceeded", None),
+            ReqError::Internal(d) => err_reply("internal_error", Some(d)),
+            ReqError::ReloadFailed(d) => err_reply("reload_failed", Some(d)),
         }
-    };
-    let Some(cmd) = req.get("cmd").and_then(|c| c.as_str()) else {
-        state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-        return err_reply("bad_request", Some("missing \"cmd\""));
-    };
+    }
+
+    /// The counter this failure bumps, if any (a failed reload is counted
+    /// by [`ServeState::reload`]).
+    fn counter<'c>(&self, c: &'c Counters) -> Option<&'c AtomicU64> {
+        match self {
+            ReqError::BadRequest(_) => Some(&c.bad_requests),
+            ReqError::DeadlineExceeded => Some(&c.deadline_exceeded),
+            ReqError::Internal(_) | ReqError::ReloadFailed(_) => None,
+        }
+    }
+}
+
+/// Run one request and count its outcome. Runs inside the permit +
+/// catch_unwind.
+fn handle_request(line: &str, state: &Arc<ServeState>, cfg: &ServeConfig) -> Reply {
+    let c = &state.counters;
+    match dispatch(line, state, cfg) {
+        Ok(reply) => {
+            c.served.fetch_add(1, Ordering::Relaxed);
+            reply
+        }
+        Err(e) => {
+            if let Some(n) = e.counter(c) {
+                n.fetch_add(1, Ordering::Relaxed);
+            }
+            e.reply()
+        }
+    }
+}
+
+/// Parse one request and answer it.
+fn dispatch(line: &str, state: &Arc<ServeState>, cfg: &ServeConfig) -> Result<Reply, ReqError> {
+    let started = Instant::now();
+    let req = json::parse(line);
+    add_elapsed(&state.counters.parse_ns, started);
+    let req = req.map_err(|e| ReqError::BadRequest(format!("parse: {e}")))?;
+    let cmd = req
+        .get("cmd")
+        .and_then(|c| c.as_str())
+        .ok_or_else(|| ReqError::BadRequest("missing \"cmd\"".into()))?;
     let deadline = Instant::now() + cfg.deadline;
-    let reply = match cmd {
-        "health" => Ok(health_reply(state)),
-        "match" => handle_match(&req, state, deadline),
-        "analyze" => handle_analyze(&req, state, deadline),
-        "reload" => handle_reload(&req, state, cfg),
+    match cmd {
+        "health" => Ok(reply_line(health_reply(state))),
+        "match" => answer(&req, false, state, deadline),
+        "analyze" => answer(&req, true, state, deadline),
+        "reload" => {
+            let path = req.get("path").and_then(|p| p.as_str()).map(PathBuf::from);
+            let generation = state
+                .reload(cfg, path.as_ref())
+                .map_err(ReqError::ReloadFailed)?;
+            Ok(reply_line(format!(
+                "{{\"ok\":true,\"cmd\":\"reload\",\"generation\":{generation}}}"
+            )))
+        }
         "shutdown" => {
             state.draining.store(true, Ordering::Relaxed);
-            Ok("{\"ok\":true,\"cmd\":\"shutdown\",\"draining\":true}".to_string())
+            Ok(reply_line(
+                "{\"ok\":true,\"cmd\":\"shutdown\",\"draining\":true}".to_string(),
+            ))
         }
         "debug_panic" if cfg.debug_commands => {
             panic!("injected panic (debug_panic)");
@@ -610,104 +812,61 @@ fn handle_request(line: &str, state: &Arc<ServeState>, cfg: &ServeConfig) -> Str
             loop {
                 let now = Instant::now();
                 if now >= until {
-                    break Ok("{\"ok\":true,\"cmd\":\"debug_sleep\"}".to_string());
+                    break Ok(reply_line(
+                        "{\"ok\":true,\"cmd\":\"debug_sleep\"}".to_string(),
+                    ));
                 }
                 if now >= deadline {
-                    break Err(err_reply("deadline_exceeded", None));
+                    break Err(ReqError::DeadlineExceeded);
                 }
                 thread::sleep(POLL_TICK.min(until - now));
             }
         }
-        other => {
-            state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return err_reply("bad_request", Some(&format!("unknown cmd {other:?}")));
-        }
-    };
-    match reply {
-        Ok(r) => {
-            state.counters.served.fetch_add(1, Ordering::Relaxed);
-            r
-        }
-        Err(r) => {
-            if r.contains("\"deadline_exceeded\"") {
-                state
-                    .counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            r
-        }
+        other => Err(ReqError::BadRequest(format!("unknown cmd {other:?}"))),
     }
 }
 
-/// Run the chosen matcher over `gen` with cooperative deadline checks
-/// every [`DEADLINE_STRIDE`] jobs. Job order equals
-/// [`dmsa_core::PreparedStore::match_window`], so the result is
-/// byte-identical to the offline `dmsa match` path.
-fn match_with_deadline(
-    gen: &StoreGen,
-    choice: MatcherChoice,
-    deadline: Instant,
-) -> Result<MatchSet, ()> {
-    let prepared = gen.shared.prepared();
-    let method = match choice {
-        MatcherChoice::Exact => MatchMethod::Exact,
-        MatcherChoice::Rm1 => MatchMethod::Rm1,
-        MatcherChoice::Rm2 => MatchMethod::Rm2,
-        MatcherChoice::Scored(t) => {
-            if Instant::now() > deadline {
-                return Err(());
-            }
-            // The scored matcher has no incremental API; it runs whole
-            // and the deadline is checked after (coarse cancellation).
-            let set = ScoredMatcher::default().match_jobs_scored(gen.shared.store(), gen.window, t);
-            return if Instant::now() > deadline {
-                Err(())
-            } else {
-                Ok(set)
-            };
-        }
-    };
-    let universe = prepared.window_universe(gen.window);
-    let mut jobs = Vec::new();
-    for chunk in universe.chunks(DEADLINE_STRIDE) {
-        if Instant::now() > deadline {
-            return Err(());
-        }
-        jobs.extend(chunk.iter().filter_map(|&j| prepared.match_one(j, method)));
-    }
-    Ok(MatchSet { method, jobs })
-}
-
-fn handle_match(
+/// A `match` or `analyze` reply from the current generation's memo, or
+/// computed, memoized and checked against the deadline on a miss.
+fn answer(
     req: &json::Json,
+    analyze: bool,
     state: &Arc<ServeState>,
     deadline: Instant,
-) -> Result<String, String> {
-    let method_str = req.get("method").and_then(|m| m.as_str()).unwrap_or("rm2");
-    let choice = match MatcherChoice::parse(method_str) {
-        Ok(c) => c,
-        Err(e) => {
-            state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return Err(err_reply("bad_request", Some(&e)));
-        }
-    };
-    let full = req.get("full").and_then(|f| f.as_bool()).unwrap_or(false);
+) -> Result<Reply, ReqError> {
+    let key = MemoKey::of(req, analyze);
     // Pin a generation for the whole request: a reload mid-request swaps
-    // the slot but this Arc keeps the old store alive and consistent.
-    let (gen, _g) = state.swap.load();
-    let set = match match_with_deadline(&gen, choice, deadline) {
-        Ok(s) => s,
-        Err(()) => return Err(err_reply("deadline_exceeded", None)),
+    // the slot but this Arc keeps the old store and its memo alive.
+    let (gen, _) = state.swap.load();
+    if let Some(reply) = gen.memo.get(&key) {
+        return Ok(reply);
+    }
+    let started = Instant::now();
+    let body = if analyze {
+        render_analyze(&key, &gen)?
+    } else {
+        render_match(&key, &gen)?
     };
+    let reply = reply_line(body);
+    add_elapsed(&state.counters.compute_ns, started);
+    gen.memo.insert(key, &reply);
+    if Instant::now() > deadline {
+        return Err(ReqError::DeadlineExceeded);
+    }
+    Ok(reply)
+}
+
+fn render_match(key: &MemoKey, gen: &StoreGen) -> Result<String, ReqError> {
+    let method = key.method.as_deref().unwrap_or("rm2");
+    let set = gen.match_set(method)?;
     let mut o = String::from("{\"ok\":true,\"cmd\":\"match\",\"method\":");
-    push_str_lit(&mut o, method_str);
+    push_str_lit(&mut o, method);
     o.push_str(&format!(
         ",\"matched_jobs\":{},\"matched_transfers\":{}",
         set.n_matched_jobs(),
         set.n_matched_transfers()
     ));
-    if full {
+    if key.full {
         o.push_str(",\"set\":");
         o.push_str(&matchset_to_json(&set));
     }
@@ -715,56 +874,33 @@ fn handle_match(
     Ok(o)
 }
 
-fn handle_analyze(
-    req: &json::Json,
-    state: &Arc<ServeState>,
-    deadline: Instant,
-) -> Result<String, String> {
-    let Some(report) = req.get("report").and_then(|r| r.as_str()) else {
-        state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-        return Err(err_reply("bad_request", Some("missing \"report\"")));
-    };
+fn render_analyze(key: &MemoKey, gen: &StoreGen) -> Result<String, ReqError> {
+    let report = key
+        .report
+        .as_deref()
+        .ok_or_else(|| ReqError::BadRequest("missing \"report\"".into()))?;
     if !dmsa_analysis::render::REPORT_NAMES.contains(&report) {
-        state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-        return Err(err_reply(
-            "bad_request",
-            Some(&format!(
-                "unknown report {report:?} ({})",
-                dmsa_analysis::render::REPORT_NAMES.join("|")
-            )),
-        ));
+        return Err(ReqError::BadRequest(format!(
+            "unknown report {report:?} ({})",
+            dmsa_analysis::render::REPORT_NAMES.join("|")
+        )));
     }
-    let (gen, _g) = state.swap.load();
-    // Optional "method": co-compute a match set so the summary report
-    // carries its overlap/activity tables, as the CLI does with a
-    // --matches file.
-    let matches = match req.get("method").and_then(|m| m.as_str()) {
-        None => None,
-        Some(m) => {
-            let choice = match MatcherChoice::parse(m) {
-                Ok(c) => c,
-                Err(e) => {
-                    state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    return Err(err_reply("bad_request", Some(&e)));
-                }
-            };
-            match match_with_deadline(&gen, choice, deadline) {
-                Ok(s) => Some(s),
-                Err(()) => return Err(err_reply("deadline_exceeded", None)),
-            }
-        }
-    };
-    if Instant::now() > deadline {
-        return Err(err_reply("deadline_exceeded", None));
-    }
+    // Optional "method": the summary report then carries its
+    // overlap/activity tables, as the CLI does with a --matches file.
+    let matches = key
+        .method
+        .as_deref()
+        .map(|m| gen.match_set(m))
+        .transpose()?;
     let inputs = dmsa_analysis::render::ReportInputs {
         store: gen.shared.store(),
         window: gen.window,
         path_stats: gen.path_stats,
         health: gen.health.as_ref(),
     };
-    let text = dmsa_analysis::render::render_report_string(&inputs, report, matches.as_ref(), None)
-        .map_err(|e| err_reply("internal_error", Some(&e)))?;
+    let text =
+        dmsa_analysis::render::render_report_string(&inputs, report, matches.as_deref(), None)
+            .map_err(ReqError::Internal)?;
     let mut o = String::from("{\"ok\":true,\"cmd\":\"analyze\",\"report\":");
     push_str_lit(&mut o, report);
     o.push_str(",\"text\":");
@@ -773,22 +909,9 @@ fn handle_analyze(
     Ok(o)
 }
 
-fn handle_reload(
-    req: &json::Json,
-    state: &Arc<ServeState>,
-    cfg: &ServeConfig,
-) -> Result<String, String> {
-    let path = req.get("path").and_then(|p| p.as_str()).map(PathBuf::from);
-    match state.reload(cfg, path.as_ref()) {
-        Ok(generation) => Ok(format!(
-            "{{\"ok\":true,\"cmd\":\"reload\",\"generation\":{generation}}}"
-        )),
-        Err(e) => Err(err_reply("reload_failed", Some(&e))),
-    }
-}
-
-/// Render the `health` reply: generation, store shape, counters, reload
-/// history. The only reply that carries the generation, by design.
+/// Render the `health` reply: generation, store shape, the generation's
+/// memo, counters, time sums, reload history. The only reply that
+/// carries the generation, by design.
 fn health_reply(state: &Arc<ServeState>) -> String {
     let (gen, generation) = state.swap.load();
     let (jobs, files, transfers, _) = gen.shared.store().counts();
@@ -816,7 +939,13 @@ fn health_reply(state: &Arc<ServeState>) -> String {
     ));
     o.push_str(",\"source\":");
     push_str_lit(&mut o, &gen.source);
-    o.push_str("},\"counters\":{");
+    let (entries, bytes) = gen.memo.size();
+    o.push_str(&format!(
+        "}},\"memo\":{{\"hits\":{},\"misses\":{},\"entries\":{entries},\"bytes\":{bytes}}}",
+        gen.memo.hits.load(Ordering::Relaxed),
+        gen.memo.misses.load(Ordering::Relaxed),
+    ));
+    o.push_str(",\"counters\":{");
     let pairs: [(&str, u64); 8] = [
         ("served", c.served.load(Ordering::Relaxed)),
         ("shed", c.shed.load(Ordering::Relaxed)),
@@ -839,7 +968,13 @@ fn health_reply(state: &Arc<ServeState>) -> String {
         }
         o.push_str(&format!("\"{k}\":{v}"));
     }
-    o.push_str("},\"reload\":{\"last_error\":");
+    o.push_str(&format!(
+        "}},\"time_ns\":{{\"parse\":{},\"compute\":{},\"write\":{}}}",
+        c.parse_ns.load(Ordering::Relaxed),
+        c.compute_ns.load(Ordering::Relaxed),
+        c.write_ns.load(Ordering::Relaxed),
+    ));
+    o.push_str(",\"reload\":{\"last_error\":");
     match &*state.last_reload_error.lock().unwrap() {
         Some(e) => push_str_lit(&mut o, e),
         None => o.push_str("null"),
@@ -855,7 +990,12 @@ mod tests {
     use std::io::BufReader;
 
     fn tiny_export_json() -> String {
+        tiny_export_json_seeded(dmsa_scenario::ScenarioConfig::small().seed)
+    }
+
+    fn tiny_export_json_seeded(seed: u64) -> String {
         let mut c = dmsa_scenario::ScenarioConfig::small();
+        c.seed = seed;
         c.duration = dmsa_simcore::SimDuration::from_hours(3);
         c.workload.tasks_per_hour = 10.0;
         c.background_transfers_per_hour = 50.0;
@@ -904,6 +1044,74 @@ mod tests {
             self.send(line);
             self.recv()
         }
+
+        /// The `memo` object of a `health` reply.
+        fn memo(&mut self) -> json::Json {
+            let health = json::parse(&self.round_trip("{\"cmd\":\"health\"}")).unwrap();
+            health.get("memo").expect("health carries memo").clone()
+        }
+    }
+
+    fn num(j: &json::Json, key: &str) -> u64 {
+        j.get(key).and_then(|v| v.as_u64()).expect(key)
+    }
+
+    /// The reply to a `match`/`analyze` line, computed offline from the
+    /// export through the CLI's own matcher and renderer.
+    fn offline_reply(export: &CampaignExport, line: &str) -> String {
+        let req = json::parse(line).unwrap();
+        let field = |k| req.get(k).and_then(|v| v.as_str());
+        let prepared = dmsa_core::PreparedStore::build(&export.store);
+        let set = |m: &str| {
+            let method = match MatcherChoice::parse(m).unwrap() {
+                MatcherChoice::Exact => MatchMethod::Exact,
+                MatcherChoice::Rm1 => MatchMethod::Rm1,
+                MatcherChoice::Rm2 => MatchMethod::Rm2,
+                MatcherChoice::Scored(t) => {
+                    let scored = ScoredMatcher::default();
+                    return scored.match_jobs_scored(&export.store, export.window, t);
+                }
+            };
+            prepared.match_window(export.window, method)
+        };
+        let mut o = String::new();
+        if field("cmd") == Some("match") {
+            let method = field("method").unwrap_or("rm2");
+            let set = set(method);
+            o.push_str("{\"ok\":true,\"cmd\":\"match\",\"method\":");
+            push_str_lit(&mut o, method);
+            o.push_str(&format!(
+                ",\"matched_jobs\":{},\"matched_transfers\":{}",
+                set.n_matched_jobs(),
+                set.n_matched_transfers()
+            ));
+            if req.get("full").and_then(|f| f.as_bool()) == Some(true) {
+                o.push_str(",\"set\":");
+                o.push_str(&matchset_to_json(&set));
+            }
+        } else {
+            let report = field("report").unwrap();
+            let inputs = dmsa_analysis::render::ReportInputs {
+                store: &export.store,
+                window: export.window,
+                path_stats: export.path_stats,
+                health: export.health.as_ref(),
+            };
+            let matches = field("method").map(set);
+            let text = dmsa_analysis::render::render_report_string(
+                &inputs,
+                report,
+                matches.as_ref(),
+                None,
+            )
+            .unwrap();
+            o.push_str("{\"ok\":true,\"cmd\":\"analyze\",\"report\":");
+            push_str_lit(&mut o, report);
+            o.push_str(",\"text\":");
+            push_str_lit(&mut o, &text);
+        }
+        o.push('}');
+        o
     }
 
     #[test]
@@ -955,6 +1163,128 @@ mod tests {
         assert!(health.contains("\"ok\":true"), "{health}");
         let out = server.shutdown();
         assert!(out.clean, "drain left {} conns", out.abandoned_conns);
+    }
+
+    #[test]
+    fn deeply_nested_request_line_is_a_bad_request() {
+        let (server, _) = test_server(ServeConfig::default());
+        let mut c = Client::connect(server.local_addr());
+        // Under the line cap, far past the nesting bound: without the
+        // bound this overflowed the connection thread's stack and
+        // aborted the process.
+        let reply = c.round_trip(&"[".repeat(500_000));
+        assert!(reply.contains("\"bad_request\""), "{reply}");
+        assert!(reply.contains("nesting"), "{reply}");
+        let health = c.round_trip("{\"cmd\":\"health\"}");
+        assert!(health.contains("\"ok\":true"), "{health}");
+        assert!(health.contains("\"bad_requests\":1"), "{health}");
+        drop(server);
+    }
+
+    #[test]
+    fn repeated_match_is_a_memo_hit() {
+        let (server, _) = test_server(ServeConfig::default());
+        let mut c = Client::connect(server.local_addr());
+        let first = c.round_trip("{\"cmd\":\"match\",\"method\":\"rm1\"}");
+        let memo = c.memo();
+        assert_eq!((num(&memo, "hits"), num(&memo, "misses")), (0, 1));
+        assert_eq!(num(&memo, "entries"), 1);
+        assert_eq!(num(&memo, "bytes") as usize, first.len() + 1);
+
+        let second = c.round_trip("{\"cmd\":\"match\",\"method\":\"rm1\"}");
+        assert_eq!(first, second);
+        let memo = c.memo();
+        assert_eq!((num(&memo, "hits"), num(&memo, "misses")), (1, 1));
+        // A field the reply depends on is a different key; errors and
+        // health are never memoized.
+        let full = c.round_trip("{\"cmd\":\"match\",\"method\":\"rm1\",\"full\":true}");
+        assert_ne!(first, full);
+        let bad = c.round_trip("{\"cmd\":\"match\",\"method\":\"rm9\"}");
+        assert!(bad.contains("\"bad_request\""), "{bad}");
+        let memo = c.memo();
+        assert_eq!((num(&memo, "hits"), num(&memo, "misses")), (1, 3));
+        assert_eq!(num(&memo, "entries"), 2);
+        drop(server);
+    }
+
+    #[test]
+    fn replies_equal_the_offline_reply_of_the_serving_generation() {
+        let dir = std::env::temp_dir().join(format!("dmsa-serve-gens-{}", std::process::id()));
+        let _ = std::fs::create_dir_all(&dir);
+        let exports = [tiny_export_json_seeded(11), tiny_export_json_seeded(12)];
+        let paths = [dir.join("a.json"), dir.join("b.json")];
+        for (path, json) in paths.iter().zip(&exports) {
+            std::fs::write(path, json).unwrap();
+        }
+        let mut lines = Vec::new();
+        for method in ["exact", "rm1", "rm2", "scored:0.6"] {
+            for full in [false, true] {
+                lines.push(format!(
+                    "{{\"cmd\":\"match\",\"method\":\"{method}\",\"full\":{full}}}"
+                ));
+            }
+        }
+        lines.push("{\"cmd\":\"match\"}".to_string());
+        for report in dmsa_analysis::render::REPORT_NAMES {
+            lines.push(format!("{{\"cmd\":\"analyze\",\"report\":\"{report}\"}}"));
+        }
+        lines.push("{\"cmd\":\"analyze\",\"report\":\"summary\",\"method\":\"rm2\"}".into());
+        lines.push("{\"cmd\":\"analyze\",\"report\":\"summary\",\"method\":\"scored:0.6\"}".into());
+        let offline: Vec<Vec<String>> = exports
+            .iter()
+            .map(|json| {
+                let export = CampaignExport::from_json(json).unwrap();
+                lines.iter().map(|l| offline_reply(&export, l)).collect()
+            })
+            .collect();
+        assert_ne!(offline[0], offline[1], "the two exports must differ");
+
+        let server = Server::start(ServeConfig::default(), test_gen(&exports[0]), None).unwrap();
+        let mut c = Client::connect(server.local_addr());
+        for (round, g) in [0, 1, 0, 1].into_iter().enumerate() {
+            if round > 0 {
+                let mut req = String::from("{\"cmd\":\"reload\",\"path\":");
+                push_str_lit(&mut req, &paths[g].display().to_string());
+                req.push('}');
+                let reply = c.round_trip(&req);
+                assert!(reply.contains("\"ok\":true"), "{reply}");
+            }
+            // Twice each: the first is a miss, the second a hit.
+            for _ in 0..2 {
+                for (line, want) in lines.iter().zip(&offline[g]) {
+                    assert_eq!(&c.round_trip(line), want, "round {round}: {line}");
+                }
+            }
+            let memo = c.memo();
+            assert_eq!(num(&memo, "misses") as usize, lines.len(), "round {round}");
+            assert_eq!(num(&memo, "hits") as usize, lines.len(), "round {round}");
+        }
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memo_stays_within_its_cap() {
+        let (server, json) = test_server(ServeConfig::default());
+        let export = CampaignExport::from_json(&json).unwrap();
+        let mut c = Client::connect(server.local_addr());
+        let lines: Vec<String> = (0..MEMO_MAX_ENTRIES + 8)
+            .map(|i| format!("{{\"cmd\":\"match\",\"method\":\"scored:0.{i:03}\"}}"))
+            .collect();
+        for line in &lines {
+            assert_eq!(c.round_trip(line), offline_reply(&export, line), "{line}");
+        }
+        let memo = c.memo();
+        assert_eq!(num(&memo, "entries") as usize, MEMO_MAX_ENTRIES);
+        // Past the cap, replies are computed each time, and still right.
+        let last = lines.last().unwrap();
+        assert_eq!(c.round_trip(last), offline_reply(&export, last));
+        let memo = c.memo();
+        assert_eq!(num(&memo, "entries") as usize, MEMO_MAX_ENTRIES);
+        assert_eq!(num(&memo, "hits"), 0);
+        assert_eq!(num(&memo, "misses") as usize, lines.len() + 1);
+        assert!(num(&memo, "bytes") as usize <= MEMO_MAX_BYTES);
+        drop(server);
     }
 
     #[test]
