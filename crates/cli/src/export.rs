@@ -20,7 +20,7 @@
 //! record is an error. A file written by a *newer* format version is always
 //! rejected outright, with a found-vs-supported message.
 
-use crate::json::{self, Json};
+use crate::json::{self, push_u64, Json};
 use dmsa_gridnet::{
     FaultConfig, HealthConfig, HealthCounters, HealthSubject, HealthSummary, OpenEpisode, SiteId,
     TopologyConfig,
@@ -174,15 +174,24 @@ impl CampaignExport {
     /// the same bytes (the resume tests compare exports byte-for-byte).
     pub fn to_json(&self) -> String {
         let store = &self.store;
-        let mut o = String::with_capacity(1 << 20);
+        // Sized from the record counts (typical record lengths, rounded
+        // up) so the buffer is not copied through a dozen doublings.
+        let mut o = String::with_capacity(
+            (1 << 16)
+                + store.symbols.text_len()
+                + 3 * store.symbols.len()
+                + 128 * store.jobs.len()
+                + 64 * store.files.len()
+                + 160 * store.transfers.len(),
+        );
         o.push_str("{\"version\":");
-        o.push_str(&self.version.to_string());
+        push_u64(&mut o, self.version as u64);
         o.push_str(",\"config\":");
         write_config(&mut o, &self.config);
         o.push_str(",\"window\":[");
-        o.push_str(&self.window.start.as_millis().to_string());
+        push_time(&mut o, self.window.start);
         o.push(',');
-        o.push_str(&self.window.end.as_millis().to_string());
+        push_time(&mut o, self.window.end);
         o.push_str("],\"symbols\":[");
         for i in 0..store.symbols.len() as u32 {
             if i > 0 {
@@ -197,7 +206,7 @@ impl CampaignExport {
             if i > 0 {
                 o.push(',');
             }
-            o.push_str(&s.to_string());
+            push_u64(&mut o, *s as u64);
         }
         o.push_str("],\"jobs\":[");
         for (i, j) in store.jobs.iter().enumerate() {
@@ -236,7 +245,7 @@ impl CampaignExport {
             if i > 0 {
                 o.push(',');
             }
-            o.push_str(&v.to_string());
+            push_u64(&mut o, *v);
         }
         o.push_str("],\"health\":");
         match &self.health {
@@ -314,6 +323,14 @@ impl CampaignExport {
             .as_arr()
             .ok_or_else(|| format!("\"symbols\" must be an array {}", sj.at()))?;
         let mut symbols = SymbolTable::new();
+        symbols.reserve(
+            sym_arr.len(),
+            sym_arr
+                .iter()
+                .filter_map(|el| el.as_str())
+                .map(str::len)
+                .sum(),
+        );
         for (i, el) in sym_arr.iter().enumerate() {
             let s = el
                 .as_str()
@@ -439,12 +456,8 @@ fn load_section<T>(
 // Record writers (compact fixed-arity arrays)
 // ---------------------------------------------------------------------------
 
-fn push_u64(o: &mut String, v: u64) {
-    o.push_str(&v.to_string());
-}
-
 fn push_time(o: &mut String, t: SimTime) {
-    o.push_str(&t.as_millis().to_string());
+    json::push_i64(o, t.as_millis());
 }
 
 fn push_opt_u64(o: &mut String, v: Option<u64>) {
@@ -1020,7 +1033,7 @@ fn write_config(o: &mut String, c: &ScenarioConfig) {
     kv_f64(o, "p_task_drop_taskid", cm.p_task_drop_taskid);
     kv_f64(o, "p_clear_attempt", cm.p_clear_attempt);
     o.push_str("},\"duration_ms\":");
-    o.push_str(&c.duration.as_millis().to_string());
+    json::push_i64(o, c.duration.as_millis());
     kv_f64(
         o,
         "background_transfers_per_hour",

@@ -10,7 +10,9 @@
 //! * replica sets never contain duplicates;
 //! * dataset byte totals equal the sum of member file sizes;
 //! * registered volume is monotone in time (deletion removes *replicas*,
-//!   never catalog entries — mirroring Rucio, where DIDs are immutable).
+//!   never catalog entries — mirroring Rucio, where DIDs are immutable);
+//! * each RSE's byte counter equals the summed size of the replicas it
+//!   holds, so the reaper reads usage in O(1) instead of scanning.
 
 use crate::did::{self, DidName, Scope};
 use dmsa_gridnet::RseId;
@@ -78,7 +80,11 @@ pub struct ContainerEntry {
 }
 
 /// The global file/dataset/replica catalog.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// Checkpoints encode it through its accessors and rebuild it with
+/// [`ReplicaCatalog::from_parts`], which also rebuilds the derived
+/// per-RSE byte counters; it has no serde form of its own.
+#[derive(Clone, Debug, Default)]
 pub struct ReplicaCatalog {
     files: Vec<FileEntry>,
     datasets: Vec<DatasetEntry>,
@@ -89,6 +95,10 @@ pub struct ReplicaCatalog {
     /// and [`crate::TransferEvent`]s carry [`Sym`] handles into this
     /// table, so the hot transfer path never clones a name.
     names: SymbolTable,
+    /// `rse_bytes[rse.index()]` = summed size of the replicas at `rse`
+    /// (absent = 0). Kept in step by [`Self::add_replica`] and
+    /// [`Self::remove_replica`]; derived state, never serialized.
+    rse_bytes: Vec<u64>,
 }
 
 impl ReplicaCatalog {
@@ -109,18 +119,19 @@ impl ReplicaCatalog {
         registered: SimTime,
     ) -> DatasetId {
         let ds_id = DatasetId(self.datasets.len() as u64);
-        let name_did = did::dataset_name(scope, task_seq, stream);
-        let name = self.names.intern(&name_did.0);
-        let prod_dblock = self
-            .names
-            .intern(&did::prod_dblock(&name_did, (task_seq % 7) as u32).0);
+        // One scratch buffer formats every name of the dataset.
+        let mut buf = String::with_capacity(96);
+        did::write_dataset_name(&mut buf, scope, task_seq, stream);
+        let name = self.names.intern(&buf);
+        did::write_prod_dblock_suffix(&mut buf, (task_seq % 7) as u32);
+        let prod_dblock = self.names.intern(&buf);
         let mut files = Vec::with_capacity(file_sizes.len());
         let mut total = 0u64;
         for (i, &size) in file_sizes.iter().enumerate() {
             let fid = FileId(self.files.len() as u64);
-            let lfn = self
-                .names
-                .intern(&did::file_lfn(scope, task_seq, i as u32).0);
+            buf.clear();
+            did::write_file_lfn(&mut buf, scope, task_seq, i as u32);
+            let lfn = self.names.intern(&buf);
             self.files.push(FileEntry {
                 id: fid,
                 lfn,
@@ -156,6 +167,8 @@ impl ReplicaCatalog {
         let set = &mut self.replicas[file.0 as usize];
         if let Err(pos) = set.binary_search(&rse) {
             set.insert(pos, rse);
+            let size = self.files[file.0 as usize].size;
+            add_bytes(&mut self.rse_bytes, rse, size);
         }
     }
 
@@ -165,10 +178,16 @@ impl ReplicaCatalog {
         match set.binary_search(&rse) {
             Ok(pos) => {
                 set.remove(pos);
+                self.rse_bytes[rse.index()] -= self.files[file.0 as usize].size;
                 true
             }
             Err(_) => false,
         }
+    }
+
+    /// Bytes of replicas currently held at `rse` (the reaper's usage).
+    pub fn rse_bytes(&self, rse: RseId) -> u64 {
+        self.rse_bytes.get(rse.index()).copied().unwrap_or(0)
     }
 
     /// RSEs currently holding `file`.
@@ -232,13 +251,15 @@ impl ReplicaCatalog {
         containers: Vec<ContainerEntry>,
         replicas: Vec<Vec<RseId>>,
     ) -> Result<Self, String> {
-        let cat = ReplicaCatalog {
+        let mut cat = ReplicaCatalog {
             files,
             datasets,
             containers,
             replicas,
             names,
+            rse_bytes: Vec::new(),
         };
+        cat.rse_bytes = cat.count_rse_bytes();
         cat.check_invariants()?;
         Ok(cat)
     }
@@ -293,6 +314,13 @@ impl ReplicaCatalog {
                 return Err(format!("replica set of file {i} unsorted/duplicated"));
             }
         }
+        let counted = self.count_rse_bytes();
+        let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
+        if (0..counted.len().max(self.rse_bytes.len()))
+            .any(|i| at(&counted, i) != at(&self.rse_bytes, i))
+        {
+            return Err("per-RSE byte counters drifted from the replica table".into());
+        }
         let n_syms = self.names.len() as u32;
         for f in &self.files {
             if f.lfn.0 >= n_syms {
@@ -306,6 +334,37 @@ impl ReplicaCatalog {
         }
         Ok(())
     }
+
+    /// Per-RSE replica bytes recounted from the replica table.
+    fn count_rse_bytes(&self) -> Vec<u64> {
+        let mut bytes = Vec::new();
+        for (f, set) in self.files.iter().zip(&self.replicas) {
+            for &rse in set {
+                add_bytes(&mut bytes, rse, f.size);
+            }
+        }
+        bytes
+    }
+
+    /// Full-scan oracle for [`Self::rse_bytes`]: sums the sizes of every
+    /// file holding a replica at `rse`.
+    #[cfg(test)]
+    pub(crate) fn rse_bytes_scan(&self, rse: RseId) -> u64 {
+        self.files
+            .iter()
+            .filter(|f| self.has_replica(f.id, rse))
+            .map(|f| f.size)
+            .sum()
+    }
+}
+
+/// Credit `size` bytes to `rse`, growing the counter table on first use.
+fn add_bytes(rse_bytes: &mut Vec<u64>, rse: RseId, size: u64) {
+    let i = rse.index();
+    if i >= rse_bytes.len() {
+        rse_bytes.resize(i + 1, 0);
+    }
+    rse_bytes[i] += size;
 }
 
 #[cfg(test)]

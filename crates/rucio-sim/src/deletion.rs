@@ -3,10 +3,11 @@
 //! Rucio protects replicas "from deletion until all rules expire" (paper
 //! §2.2); once unprotected, site reapers free space greediest-first when
 //! an RSE approaches capacity. This module implements that reaper:
-//! given the catalog, the rule engine, and per-RSE usage, it selects the
-//! unprotected replicas to delete — least-recently-created first (the
-//! classic Rucio `minimum-free-space` greedy policy) — until the RSE is
-//! back under its high-watermark.
+//! given the catalog, the rule engine, and per-RSE usage (the catalog's
+//! incrementally maintained [byte counter](ReplicaCatalog::rse_bytes)),
+//! it selects the unprotected replicas to delete — least-recently-created
+//! first (the classic Rucio `minimum-free-space` greedy policy) — until
+//! the RSE is back under its high-watermark.
 //!
 //! Deletion is what ultimately *causes* some of the paper's redundant
 //! transfers: a file deleted after its rule expired must be transferred
@@ -47,16 +48,6 @@ pub struct Deletion {
     pub bytes: u64,
 }
 
-/// Current usage of one RSE, in bytes (computed from the catalog).
-pub fn rse_usage(catalog: &ReplicaCatalog, rse: RseId) -> u64 {
-    catalog
-        .files()
-        .iter()
-        .filter(|f| catalog.has_replica(f.id, rse))
-        .map(|f| f.size)
-        .sum()
-}
-
 /// Run the reaper on one RSE at instant `now`. Deletes unprotected
 /// replicas (oldest registration first) until usage drops below the low
 /// watermark, and returns what was deleted. The catalog is mutated.
@@ -69,7 +60,7 @@ pub fn reap_rse(
     now: SimTime,
 ) -> Vec<Deletion> {
     let capacity = topology.rse(rse).capacity_bytes.max(1);
-    let mut usage = rse_usage(catalog, rse);
+    let mut usage = catalog.rse_bytes(rse);
     if (usage as f64) < policy.high_watermark * capacity as f64 {
         return Vec::new();
     }
@@ -100,10 +91,10 @@ pub fn reap_rse(
 
 /// Run the reaper over every RSE of the topology.
 ///
-/// Computes all usages in a single pass over the replica table, then runs
-/// the per-RSE candidate scan only for RSEs above their high watermark —
-/// O(|files| + Σ_overfull |files|) instead of O(|files| × |RSEs|), which
-/// matters when the scenario loop calls this every few simulated hours.
+/// Reads each RSE's usage from the catalog's byte counter and runs the
+/// per-RSE candidate scan only for RSEs above their high watermark —
+/// O(|RSEs| + Σ_overfull |files|) per pass, which matters when the
+/// scenario loop calls this every few simulated hours.
 pub fn reap_all(
     catalog: &mut ReplicaCatalog,
     rules: &RuleEngine,
@@ -111,17 +102,11 @@ pub fn reap_all(
     policy: &ReaperPolicy,
     now: SimTime,
 ) -> Vec<Deletion> {
-    let mut usage: Vec<u64> = vec![0; topology.rses().len()];
-    for f in catalog.files() {
-        for &rse in catalog.replicas_of(f.id) {
-            usage[rse.index()] += f.size;
-        }
-    }
     let overfull: Vec<RseId> = topology
         .rses()
         .iter()
         .filter(|r| {
-            usage[r.id.index()] as f64 >= policy.high_watermark * r.capacity_bytes.max(1) as f64
+            catalog.rse_bytes(r.id) as f64 >= policy.high_watermark * r.capacity_bytes.max(1) as f64
         })
         .map(|r| r.id)
         .collect();
@@ -190,7 +175,7 @@ mod tests {
         let policy = ReaperPolicy::default();
         let deleted = reap_rse(&mut cat, &rules, &topo, &policy, rse, SimTime::from_days(1));
         assert!(!deleted.is_empty());
-        let usage = rse_usage(&cat, rse) as f64;
+        let usage = cat.rse_bytes(rse) as f64;
         let capacity = topo.rse(rse).capacity_bytes as f64;
         assert!(usage <= policy.low_watermark * capacity * 1.001);
         // Oldest-registered files went first.
@@ -286,5 +271,94 @@ mod tests {
         );
         let rses: std::collections::HashSet<RseId> = deleted.iter().map(|d| d.rse).collect();
         assert!(rses.contains(&rse_a) && rses.contains(&rse_b));
+    }
+
+    /// Every RSE's counter against the full-scan oracle.
+    fn assert_counters_exact(cat: &ReplicaCatalog, topology: &GridTopology) {
+        for r in topology.rses() {
+            assert_eq!(cat.rse_bytes(r.id), cat.rse_bytes_scan(r.id), "{:?}", r.id);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// Random register / add / remove / reap steps keep every per-RSE
+        /// byte counter equal to a full scan; `from_parts` rebuilds the
+        /// same counters; the dataset-indexed `is_protected` (built rule
+        /// by rule or by `from_rules`) agrees with the linear scan.
+        #[test]
+        fn rse_counters_track_a_full_scan(
+            steps in proptest::collection::vec(
+                (0u32..6, proptest::arbitrary::any::<u64>(), proptest::arbitrary::any::<u64>()),
+                1..120,
+            ),
+        ) {
+            let topology = topo();
+            // Smallest RSEs first: replicas go to the first two, in files
+            // of 1-4 eighths of the second, so they overflow and the
+            // reaper has work.
+            let mut rses: Vec<RseId> = topology.rses().iter().map(|r| r.id).collect();
+            rses.sort_by_key(|&r| topology.rse(r).capacity_bytes);
+            let unit = topology.rse(rses[1]).capacity_bytes / 8;
+            let mut cat = ReplicaCatalog::new();
+            let mut rules = RuleEngine::new();
+            let policy = ReaperPolicy::default();
+            for (step, &(op, a, b)) in steps.iter().enumerate() {
+                let now = SimTime::from_hours(step as i64);
+                let n = cat.n_files() as u64;
+                match op {
+                    0 => {
+                        let sizes: Vec<u64> = (0..1 + a % 3).map(|k| unit * (1 + (b + k) % 4)).collect();
+                        let ds = cat.register_dataset(Scope::Data, step as u64, "s", &sizes, now);
+                        if b % 3 == 0 {
+                            let cands = vec![rses[a as usize % rses.len()]];
+                            let lifetime = (b % 2 == 0).then(|| SimDuration::from_hours(1 + (a % 6) as i64));
+                            rules.add_rule(ds, cands, 1, now, lifetime);
+                        }
+                    }
+                    1 | 2 if n > 0 => {
+                        cat.add_replica(FileId(a % n), rses[b as usize % 2]);
+                    }
+                    3 if n > 0 => {
+                        let f = FileId(a % n);
+                        let rse = match cat.replicas_of(f) {
+                            [] => rses[b as usize % rses.len()],
+                            held => held[b as usize % held.len()],
+                        };
+                        cat.remove_replica(f, rse);
+                    }
+                    _ => {
+                        reap_all(&mut cat, &rules, &topology, &policy, now);
+                    }
+                }
+                assert_counters_exact(&cat, &topology);
+            }
+            cat.check_invariants().unwrap();
+
+            let rebuilt = ReplicaCatalog::from_parts(
+                cat.names().clone(),
+                cat.files().to_vec(),
+                cat.datasets().to_vec(),
+                cat.containers().to_vec(),
+                cat.replicas().to_vec(),
+            )
+            .unwrap();
+            for r in topology.rses() {
+                proptest::prop_assert_eq!(rebuilt.rse_bytes(r.id), cat.rse_bytes(r.id));
+            }
+
+            let restored = RuleEngine::from_rules(rules.rules().to_vec()).unwrap();
+            for f in cat.files() {
+                for &rse in &rses {
+                    for h in [0, 3, steps.len() as i64] {
+                        let t = f.registered + SimDuration::from_hours(h);
+                        let want = rules.is_protected_scan(f.id, rse, &cat, t);
+                        proptest::prop_assert_eq!(rules.is_protected(f.id, rse, &cat, t), want);
+                        proptest::prop_assert_eq!(restored.is_protected(f.id, rse, &cat, t), want);
+                    }
+                }
+            }
+        }
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::catalog::{DatasetId, FileId, ReplicaCatalog};
 use dmsa_gridnet::RseId;
+use dmsa_simcore::fx::FxHashMap;
 use dmsa_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -55,6 +56,9 @@ pub struct NeededTransfer {
 #[derive(Clone, Debug, Default)]
 pub struct RuleEngine {
     rules: Vec<ReplicationRule>,
+    /// Rules of each dataset, in id order: [`Self::is_protected`] reads
+    /// only the file's own dataset's rules. Derived from `rules`.
+    by_dataset: FxHashMap<DatasetId, Vec<RuleId>>,
 }
 
 impl RuleEngine {
@@ -79,6 +83,7 @@ impl RuleEngine {
             candidate_rses.len()
         );
         let id = RuleId(self.rules.len() as u64);
+        self.by_dataset.entry(dataset).or_default().push(id);
         self.rules.push(ReplicationRule {
             id,
             dataset,
@@ -111,7 +116,11 @@ impl RuleEngine {
                 ));
             }
         }
-        Ok(RuleEngine { rules })
+        let mut by_dataset: FxHashMap<DatasetId, Vec<RuleId>> = FxHashMap::default();
+        for r in &rules {
+            by_dataset.entry(r.dataset).or_default().push(r.id);
+        }
+        Ok(RuleEngine { rules, by_dataset })
     }
 
     /// Rule by id.
@@ -149,6 +158,24 @@ impl RuleEngine {
 
     /// Whether any active rule at `t` protects a replica of `file` at `rse`.
     pub fn is_protected(
+        &self,
+        file: FileId,
+        rse: RseId,
+        catalog: &ReplicaCatalog,
+        t: SimTime,
+    ) -> bool {
+        let ds = catalog.file(file).dataset;
+        self.by_dataset.get(&ds).is_some_and(|ids| {
+            ids.iter().any(|&id| {
+                let r = self.rule(id);
+                r.is_active(t) && r.candidate_rses.contains(&rse)
+            })
+        })
+    }
+
+    /// Linear-scan oracle for [`Self::is_protected`]: checks every rule.
+    #[cfg(test)]
+    pub(crate) fn is_protected_scan(
         &self,
         file: FileId,
         rse: RseId,

@@ -131,10 +131,10 @@ pub(crate) struct TaskCtx {
 /// cadence crossing; an `Err` aborts the campaign.
 pub type SnapshotSink<'a> = &'a mut dyn FnMut(SimTime, &[u8]) -> Result<(), String>;
 
-/// Event-loop iterations between wall-clock deadline checks — the same
-/// stride pattern as serve's mid-matcher deadline checks. The shared
+/// Event-loop iterations between wall-clock deadline checks. The shared
 /// flag and probe are atomic loads and checked every tick batch; only
-/// `Instant::now()` is strided.
+/// `Instant::now()` is strided, so the clock read stays off the hot
+/// path.
 const CANCEL_STRIDE: u32 = 1024;
 
 /// Cooperative cancellation for an in-flight campaign. The driver's hot
@@ -715,7 +715,7 @@ impl Driver {
     ///
     /// When `cancel` is provided it is polled once per tick batch: the
     /// shared flag and probe on every batch, the wall-clock deadline
-    /// every [`CANCEL_STRIDE`] batches (serve's mid-matcher pattern).
+    /// every [`CANCEL_STRIDE`] batches.
     /// Cancellation aborts with a `canceled:` error between events —
     /// never mid-dispatch — and consumes no random draw, so an
     /// un-canceled run is byte-identical to a token-free one.
@@ -1550,6 +1550,24 @@ impl Driver {
         let names = self.catalog.names();
         let mut name_map: Vec<Option<Sym>> = vec![None; names.len()];
         let mut scope_map: FxHashMap<Scope, Sym> = FxHashMap::default();
+
+        // Size the store once: grown by doubling, its record vectors and
+        // symbol arena would copy (and leave behind) tens of MB per
+        // campaign. The catalog's names bound the store's symbols.
+        store.symbols.reserve(names.len(), names.text_len());
+        store.jobs.reserve_exact(self.finished.len());
+        store.files.reserve_exact(
+            self.finished
+                .iter()
+                .map(|(job, _, _)| job.input_files.len() + job.output_files.len())
+                .sum(),
+        );
+        store.transfers.reserve_exact(
+            self.transfers
+                .iter()
+                .filter(|(_, recorded)| *recorded)
+                .count(),
+        );
 
         // Job + file records.
         for (job, task_idx, _) in &self.finished {

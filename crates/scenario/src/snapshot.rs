@@ -1540,4 +1540,31 @@ mod tests {
             );
         }
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// The checkpoint image of a symbol table decodes to an equal
+        /// table: same strings, same dense ids, a working index. Strings
+        /// are drawn from a few multi-byte pieces, so duplicates, `""`
+        /// and several index growths all occur.
+        #[test]
+        fn symbol_table_image_round_trips(
+            picks in proptest::collection::vec(proptest::collection::vec(0usize..5, 0..6), 0..1_500),
+        ) {
+            const PIECES: [&str; 5] = ["x", "_sub", "é", "日本", "🚀"];
+            let mut t = SymbolTable::new();
+            for p in &picks {
+                t.intern(&p.iter().map(|&k| PIECES[k]).collect::<String>());
+            }
+            let mut w = Writer::new();
+            put_symbol_table(&mut w, &t);
+            let bytes = w.into_bytes();
+            let back = get_symbol_table(&mut Reader::new(&bytes)).unwrap();
+            proptest::prop_assert_eq!(&back, &t);
+            for i in 0..t.len() as u32 {
+                proptest::prop_assert_eq!(back.get(t.resolve(Sym(i))), Some(Sym(i)));
+            }
+        }
+    }
 }

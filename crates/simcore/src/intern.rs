@@ -5,20 +5,31 @@
 //! distinct string to a dense [`Sym`] so records stay compact and
 //! string-equality joins become integer comparisons.
 //!
-//! The table stores every string exactly once: the dense `Vec<String>`
-//! owns the data and an open-addressing index of `u32` symbol ids (hashed
-//! with the in-tree [fx hasher](crate::fx)) points back into it. The old
-//! implementation kept a second copy of each string as a `HashMap` key,
-//! doubling resident string memory for a full-scale campaign.
+//! The table is an arena: every interned string is appended to one
+//! `String`, and `ends[id]` is the byte offset one past symbol `id`'s
+//! text (`usize`, so the arena may exceed 4 GiB). A table of millions of
+//! symbols is therefore three allocations, not one per string: cloning
+//! it is three `memcpy`s and dropping it three frees.
+//!
+//! Lookups go through an open-addressing (linear-probe) index of `u32`
+//! slots kept at most 7/8 full. A table of `2^k` slots never holds an id
+//! of `k` bits or more, so each slot packs the id into its low `k` bits
+//! and spare bits of the string's [fx hash](crate::fx) into the high
+//! `32 - k` bits. The probe position comes from the top `k` bits of the
+//! hash and the tag from the bits just below them, so a probe that meets
+//! a different string is rejected by comparing tags, without touching
+//! the arena.
 
 use crate::fx;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::fmt;
 
 /// Interned string handle.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub struct Sym(pub u32);
 
-/// Sentinel for an empty index slot (`Sym` ids are bounded far below it).
+/// Sentinel for an empty index slot. No packed slot equals it: the id
+/// part of a slot is always below the all-ones id mask.
 const EMPTY: u32 = u32::MAX;
 
 /// Append-only interning table.
@@ -27,12 +38,14 @@ const EMPTY: u32 = u32::MAX;
 /// metadata uses for unidentified sites (paper §3.2: "the 102nd site is
 /// labeled as *unknown*, aggregating all transfers with either an
 /// unidentified source or destination").
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct SymbolTable {
-    /// Single owner of every interned string, dense in symbol order.
-    strings: Vec<String>,
-    /// Open-addressing (linear-probe) index of symbol ids; slot choice is
-    /// the fx hash of the string. Power-of-two length, `EMPTY` = vacant.
+    /// Every interned string, concatenated in symbol order.
+    arena: String,
+    /// `ends[id]` = arena offset one past symbol `id`'s string.
+    ends: Vec<usize>,
+    /// Linear-probe index: power-of-two length, `EMPTY` = vacant, else
+    /// hash tag in the high bits and symbol id in the low `log2(len)`.
     slots: Vec<u32>,
 }
 
@@ -43,7 +56,8 @@ impl SymbolTable {
     /// New table containing only the `"UNKNOWN"` sentinel.
     pub fn new() -> Self {
         let mut t = SymbolTable {
-            strings: Vec::new(),
+            arena: String::new(),
+            ends: Vec::new(),
             slots: vec![EMPTY; 16],
         };
         let u = t.intern("UNKNOWN");
@@ -51,69 +65,121 @@ impl SymbolTable {
         t
     }
 
+    /// Make room for `strings` more strings of `bytes` total length, so
+    /// interning them neither reallocates the arena nor rebuilds the
+    /// index. A loader that knows its input's size calls this once
+    /// instead of growing the arena by doubling.
+    pub fn reserve(&mut self, strings: usize, bytes: usize) {
+        self.arena.reserve(bytes);
+        self.ends.reserve(strings);
+        let mut cap = self.slots.len();
+        while (self.ends.len() + strings) * 8 > cap * 7 {
+            cap *= 2;
+        }
+        if cap > self.slots.len() {
+            self.rehash(cap);
+        }
+    }
+
     /// Intern `s`, returning its symbol (existing or fresh).
     pub fn intern(&mut self, s: &str) -> Sym {
-        // Keep the probe chain shorter than 1/8 of the table: grow at 7/8
-        // occupancy *before* probing so the insert slot stays valid.
-        if (self.strings.len() + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
+        // Keep the index at most 7/8 full: grow *before* probing so the
+        // vacant slot the probe ends on stays valid for the insert.
+        if (self.ends.len() + 1) * 8 > self.slots.len() * 7 {
+            self.rehash(self.slots.len() * 2);
         }
-        let mask = self.slots.len() - 1;
-        let mut i = fx::hash_bytes(s.as_bytes()) as usize & mask;
-        loop {
-            match self.slots[i] {
-                EMPTY => break,
-                id if self.strings[id as usize] == s => return Sym(id),
-                _ => i = (i + 1) & mask,
+        let hash = fx::hash_bytes(s.as_bytes());
+        match self.probe(s, hash) {
+            Ok(id) => Sym(id),
+            Err(slot) => {
+                let id = self.ends.len() as u32;
+                debug_assert!(id < EMPTY, "symbol table overflow");
+                self.arena.push_str(s);
+                self.ends.push(self.arena.len());
+                self.slots[slot] = self.tag(hash) | id;
+                Sym(id)
             }
         }
-        let id = self.strings.len() as u32;
-        debug_assert!(id < EMPTY, "symbol table overflow");
-        self.strings.push(s.to_string());
-        self.slots[i] = id;
-        Sym(id)
     }
 
     /// Resolve a symbol back to its string.
     pub fn resolve(&self, sym: Sym) -> &str {
-        &self.strings[sym.0 as usize]
+        let id = sym.0 as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.arena[start..self.ends[id]]
     }
 
     /// Look up without interning.
     pub fn get(&self, s: &str) -> Option<Sym> {
+        self.probe(s, fx::hash_bytes(s.as_bytes())).ok().map(Sym)
+    }
+
+    /// Number of distinct strings (including the sentinel).
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Only the sentinel present?
+    pub fn is_empty(&self) -> bool {
+        self.ends.len() <= 1
+    }
+
+    /// Total length in bytes of all interned strings.
+    pub fn text_len(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// Mask selecting the id bits of a slot (`len - 1`, saturated to 32
+    /// bits).
+    fn id_mask(&self) -> u32 {
+        (self.slots.len() - 1) as u32
+    }
+
+    /// Home slot of `hash`: its top `log2(len)` bits.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Tag of `hash`, already shifted into the slot's high bits: the hash
+    /// bits just below those [`Self::home`] uses.
+    fn tag(&self, hash: u64) -> u32 {
+        // Shifting left by `log2(len)` clears the id bits and drops the
+        // home bits off the top of the 32-bit word.
+        ((hash >> 32) << self.slots.len().trailing_zeros()) as u32
+    }
+
+    /// `Ok(id)` when `s` is interned, else `Err(slot)`: the vacant slot
+    /// that ends its probe chain.
+    fn probe(&self, s: &str, hash: u64) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
-        let mut i = fx::hash_bytes(s.as_bytes()) as usize & mask;
+        let id_mask = self.id_mask();
+        let tag = self.tag(hash);
+        let mut i = self.home(hash);
         loop {
             match self.slots[i] {
-                EMPTY => return None,
-                id if self.strings[id as usize] == s => return Some(Sym(id)),
+                EMPTY => return Err(i),
+                slot if slot & !id_mask == tag && self.resolve(Sym(slot & id_mask)) == s => {
+                    return Ok(slot & id_mask)
+                }
                 _ => i = (i + 1) & mask,
             }
         }
     }
 
-    /// Number of distinct strings (including the sentinel).
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Only the sentinel present?
-    pub fn is_empty(&self) -> bool {
-        self.strings.len() <= 1
-    }
-
-    /// Double the index and re-home every symbol id.
-    fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).max(16);
+    /// Resize the index to `cap` slots and re-home every symbol id.
+    fn rehash(&mut self, cap: usize) {
         self.slots.clear();
         self.slots.resize(cap, EMPTY);
         let mask = cap - 1;
-        for (id, s) in self.strings.iter().enumerate() {
-            let mut i = fx::hash_bytes(s.as_bytes()) as usize & mask;
+        let mut start = 0;
+        for (id, &end) in self.ends.iter().enumerate() {
+            let hash = fx::hash_bytes(&self.arena.as_bytes()[start..end]);
+            start = end;
+            let mut i = self.home(hash);
             while self.slots[i] != EMPTY {
                 i = (i + 1) & mask;
             }
-            self.slots[i] = id as u32;
+            self.slots[i] = self.tag(hash) | id as u32;
         }
     }
 }
@@ -122,7 +188,7 @@ impl SymbolTable {
 /// order; the probe index is derived state and is ignored.
 impl PartialEq for SymbolTable {
     fn eq(&self, other: &Self) -> bool {
-        self.strings == other.strings
+        self.ends == other.ends && self.arena == other.arena
     }
 }
 
@@ -134,11 +200,23 @@ impl Default for SymbolTable {
     }
 }
 
-/// Serialize only the dense string vector; the probe index is derived
-/// state and is rebuilt on deserialization.
+/// Lists the strings in symbol order.
+impl fmt::Debug for SymbolTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.len() as u32).map(|i| self.resolve(Sym(i))))
+            .finish()
+    }
+}
+
+/// Serialize the strings as a dense sequence in symbol order; the probe
+/// index is derived state and is rebuilt on deserialization.
 impl Serialize for SymbolTable {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.strings.serialize(serializer)
+        let strings: Vec<&str> = (0..self.len() as u32)
+            .map(|i| self.resolve(Sym(i)))
+            .collect();
+        strings.serialize(serializer)
     }
 }
 

@@ -2,8 +2,9 @@
 
 use dmsa_simcore::interval::{merge, union_len_within, Interval};
 use dmsa_simcore::stats::{geometric_mean, mean, percentile, OnlineStats};
-use dmsa_simcore::{EventQueue, QueueBackend, SimDuration, SimTime};
+use dmsa_simcore::{EventQueue, QueueBackend, SimDuration, SimTime, Sym, SymbolTable};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn interval_strategy() -> impl Strategy<Value = Interval> {
     (0i64..2_000, 0i64..500)
@@ -251,5 +252,82 @@ proptest! {
                 break;
             }
         }
+    }
+}
+
+/// Pieces of interned strings: ASCII, JSON-escapable characters, and
+/// 2-, 3- and 4-byte UTF-8, so the arena holds multi-byte text.
+const SYM_PIECES: [&str; 6] = ["a", "b", "\"", "é", "日", "🚀"];
+
+/// One intern step: `(0, _)` interns a string unique to its position
+/// (forces growth), anything else a short string over [`SYM_PIECES`]
+/// (frequent duplicates, and `""` for an empty pick list).
+fn intern_ops() -> impl Strategy<Value = Vec<(u32, Vec<usize>)>> {
+    prop::collection::vec(
+        (
+            0u32..4,
+            prop::collection::vec(0usize..SYM_PIECES.len(), 0..4),
+        ),
+        0..2_500,
+    )
+}
+
+fn op_string(i: usize, kind: u32, picks: &[usize]) -> String {
+    if kind == 0 {
+        format!("mc23.{i:08}.DAOD_PHYS._{i:06}.pool.root.1")
+    } else {
+        picks.iter().map(|&p| SYM_PIECES[p]).collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The arena table behaves exactly like a `Vec<String>` + `HashMap`
+    /// interner: dense ids in first-seen order, `get` agreeing with
+    /// `intern` (across a `reserve`), and a clone (or a serde round trip)
+    /// equal to the original.
+    #[test]
+    fn symbol_table_matches_vec_and_map_oracle(ops in intern_ops()) {
+        let mut t = SymbolTable::new();
+        let mut strings = vec!["UNKNOWN".to_string()];
+        let mut ids: HashMap<String, u32> = HashMap::from([("UNKNOWN".to_string(), 0)]);
+        for (i, (kind, picks)) in ops.iter().enumerate() {
+            if i == ops.len() / 2 {
+                // A reservation mid-stream must not disturb the ids.
+                t.reserve(ops.len() - i, 16 * (ops.len() - i));
+            }
+            let s = op_string(i, *kind, picks);
+            prop_assert_eq!(t.get(&s), ids.get(&s).map(|&id| Sym(id)));
+            let want = *ids.entry(s.clone()).or_insert_with(|| {
+                strings.push(s.clone());
+                strings.len() as u32 - 1
+            });
+            prop_assert_eq!(t.intern(&s), Sym(want));
+        }
+        prop_assert_eq!(t.len(), strings.len());
+        prop_assert_eq!(t.text_len(), strings.iter().map(String::len).sum::<usize>());
+        prop_assert_eq!(t.is_empty(), strings.len() == 1);
+        for (id, s) in strings.iter().enumerate() {
+            prop_assert_eq!(t.resolve(Sym(id as u32)), s.as_str());
+            prop_assert_eq!(t.get(s), Some(Sym(id as u32)));
+        }
+        for absent in ["c", "aaaaa", "mc23.", "UNKNOWN\0"] {
+            prop_assert_eq!(t.get(absent), None);
+        }
+
+        let mut c = t.clone();
+        prop_assert_eq!(&c, &t);
+        for (id, s) in strings.iter().enumerate() {
+            prop_assert_eq!(c.get(s), Some(Sym(id as u32)));
+        }
+        let fresh = c.intern("only in the clone");
+        prop_assert_eq!(fresh, Sym(strings.len() as u32));
+        prop_assert_eq!(t.get("only in the clone"), None);
+        prop_assert_ne!(&c, &t);
+
+        let json = serde_json::to_string(&t).unwrap();
+        let back: SymbolTable = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&back, &t);
     }
 }
