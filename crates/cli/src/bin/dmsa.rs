@@ -13,6 +13,7 @@
 //! ```
 
 use dmsa_cli::atomic::{write_atomic, write_atomic_via};
+use dmsa_cli::export::read_lossy;
 use dmsa_cli::run::{
     analyze, compare_methods, parse_sim_duration, preset_config, run_match, simulate,
     CheckpointKnobs, EngineChoice, FaultKnobs, HealthKnobs, MatcherChoice,
@@ -127,15 +128,6 @@ fn print_stdout(content: &str) -> Result<(), String> {
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
         Err(e) => Err(format!("writing stdout: {e}")),
     }
-}
-
-/// Read a file as text, decoding lossily: a campaign with a few corrupt
-/// bytes should reach the quarantine loader (which counts them as
-/// bad-utf8 records) instead of dying at the read.
-fn read_lossy(path: &str) -> Result<String, String> {
-    std::fs::read(path)
-        .map(|b| String::from_utf8_lossy(&b).into_owned())
-        .map_err(|e| format!("reading {path}: {e}"))
 }
 
 fn dispatch(args: &[String]) -> Result<ExitCode, String> {
@@ -349,7 +341,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
         "analyze" => {
             let campaign = read("campaign")?;
             let read_opt = |key: &str| -> Result<Option<String>, String> {
-                f.get(key).map(|path| read_lossy(path)).transpose()
+                f.get(key).map(read_lossy).transpose()
             };
             let matches = read_opt("matches")?;
             let baseline = read_opt("baseline")?;

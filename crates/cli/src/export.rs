@@ -20,7 +20,7 @@
 //! record is an error. A file written by a *newer* format version is always
 //! rejected outright, with a found-vs-supported message.
 
-use crate::json::{self, push_u64, Json};
+use crate::json::{self, push_u64, Cursor, Json, LexError, Lexer, Tok};
 use dmsa_gridnet::{
     FaultConfig, HealthConfig, HealthCounters, HealthSubject, HealthSummary, OpenEpisode, SiteId,
     TopologyConfig,
@@ -35,6 +35,7 @@ use dmsa_scenario::{Campaign, ScenarioConfig};
 use dmsa_simcore::interval::Interval;
 use dmsa_simcore::{SimDuration, SimTime};
 use std::collections::HashSet;
+use std::path::Path;
 
 /// Serializable campaign: metadata + window + provenance.
 pub struct CampaignExport {
@@ -92,7 +93,14 @@ pub struct QuarantineReport {
 }
 
 impl QuarantineReport {
-    fn note(&mut self, kind: Kind, example: String) {
+    /// Are examples still being kept?
+    fn wants_example(&self) -> bool {
+        self.examples.len() < 8
+    }
+
+    /// Count one record of `kind`, keeping `example` while
+    /// [`wants_example`](Self::wants_example).
+    fn note(&mut self, kind: Kind, example: Option<String>) {
         match kind {
             Kind::BadUtf8 => self.bad_utf8 += 1,
             Kind::OutOfRangeTime => self.out_of_range_time += 1,
@@ -100,7 +108,7 @@ impl QuarantineReport {
             Kind::VersionSkew => self.version_skew += 1,
             Kind::Malformed => self.malformed += 1,
         }
-        if self.examples.len() < 8 {
+        if let Some(example) = example.filter(|_| self.wants_example()) {
             self.examples.push(example);
         }
     }
@@ -278,17 +286,34 @@ impl CampaignExport {
     /// load. Only damage that makes the export meaningless is fatal: an
     /// unparseable document, a missing/broken required section, or a
     /// format version newer than this build supports.
+    ///
+    /// The record sections are decoded straight from the source in one
+    /// streaming pass (see `Decoder`); only the small `version`,
+    /// `config`, `window`, `path_stats` and `health` sections are read
+    /// through a [`Json`] tree.
     pub fn from_json_lenient(src: &str) -> Result<LoadedExport, String> {
-        let root = json::parse(src).map_err(|e| format!("campaign parse error {e}"))?;
-        if root.get("version").is_none() && !matches!(root.value, json::Value::Obj(_)) {
+        let mut d = Decoder::new(src);
+        d.lx.skip_ws();
+        if d.lx.peek() != Some(b'{') {
+            // Not an object: the tree reader reports it (or its syntax
+            // error) exactly as for any other document.
+            let root = json::parse(src).map_err(|e| format!("campaign parse error {e}"))?;
             return Err(format!(
                 "campaign export must be a JSON object, {}",
                 root.at()
             ));
         }
+        let root = d
+            .scan()
+            .map_err(|e| format!("campaign parse error {}", e.locate(src)))?;
+        let root_at = d.at(root.at);
+        let required = |slot: Option<Json>, key: &str| {
+            slot.ok_or_else(|| format!("campaign export has no {key:?} section ({root_at})"))
+        };
+
         let vj = root
-            .get("version")
-            .ok_or_else(|| format!("campaign export has no \"version\" field ({})", root.at()))?;
+            .version
+            .ok_or_else(|| format!("campaign export has no \"version\" field ({root_at})"))?;
         let version = vj
             .as_u64()
             .ok_or_else(|| format!("\"version\" is not an integer {}", vj.at()))?;
@@ -300,9 +325,9 @@ impl CampaignExport {
             ));
         }
 
-        let config = parse_config(section(&root, "config")?)?;
+        let config = parse_config(&required(root.config, "config")?)?;
 
-        let wj = section(&root, "window")?;
+        let wj = required(root.window, "window")?;
         let window = match wj.as_arr() {
             Some([s, e]) => match (s.as_i64(), e.as_i64()) {
                 (Some(s), Some(e)) if s >= 0 && e >= s => Interval {
@@ -314,72 +339,25 @@ impl CampaignExport {
             _ => return Err(format!("\"window\" must be [start_ms,end_ms] {}", wj.at())),
         };
 
-        let mut q = QuarantineReport::default();
+        let symbols = d.resolve(root.symbols, "symbols", &root_at, Decoder::symbols)?;
+        let valid_sites = d.resolve(
+            root.valid_sites,
+            "valid_sites",
+            &root_at,
+            Decoder::valid_sites,
+        )?;
+        let jobs = d.resolve(root.jobs, "jobs", &root_at, |d| {
+            d.records("jobs", 13, parse_job)
+        })?;
+        let files = d.resolve(root.files, "files", &root_at, |d| {
+            d.records("files", 8, parse_file)
+        })?;
+        let transfers = d.resolve(root.transfers, "transfers", &root_at, |d| {
+            d.records("transfers", 20, parse_transfer)
+        })?;
+        let mut q = d.q;
 
-        // Symbol table: rebuilt by interning in file order so every Sym id
-        // in the records resolves to the same string it was written under.
-        let sj = section(&root, "symbols")?;
-        let sym_arr = sj
-            .as_arr()
-            .ok_or_else(|| format!("\"symbols\" must be an array {}", sj.at()))?;
-        let mut symbols = SymbolTable::new();
-        symbols.reserve(
-            sym_arr.len(),
-            sym_arr
-                .iter()
-                .filter_map(|el| el.as_str())
-                .map(str::len)
-                .sum(),
-        );
-        for (i, el) in sym_arr.iter().enumerate() {
-            let s = el
-                .as_str()
-                .ok_or_else(|| format!("symbol {i} is not a string {}", el.at()))?;
-            if i == 0 {
-                if s != "UNKNOWN" {
-                    return Err(format!(
-                        "symbol 0 must be the UNKNOWN sentinel, found {s:?} {}",
-                        el.at()
-                    ));
-                }
-                continue; // already interned by SymbolTable::new()
-            }
-            let sym = symbols.intern(s);
-            if sym.0 as usize != i {
-                return Err(format!("duplicate symbol {s:?} {}", el.at()));
-            }
-        }
-        let n_syms = symbols.len() as u32;
-
-        let mut valid_sites: HashSet<Sym> = HashSet::new();
-        let vj = section(&root, "valid_sites")?;
-        let site_arr = vj
-            .as_arr()
-            .ok_or_else(|| format!("\"valid_sites\" must be an array {}", vj.at()))?;
-        for (i, el) in site_arr.iter().enumerate() {
-            match el.as_u64() {
-                Some(s) if s < n_syms as u64 => {
-                    valid_sites.insert(Sym(s as u32));
-                }
-                Some(s) => q.note(
-                    Kind::UnknownSiteSym,
-                    format!(
-                        "valid_sites[{i}] {}: symbol {s} past table of {n_syms}",
-                        el.at()
-                    ),
-                ),
-                None => q.note(
-                    Kind::Malformed,
-                    format!("valid_sites[{i}] {}: not a symbol id", el.at()),
-                ),
-            }
-        }
-
-        let jobs = load_section(&root, "jobs", &mut q, |el| parse_job(el, n_syms))?;
-        let files = load_section(&root, "files", &mut q, |el| parse_file(el, n_syms))?;
-        let transfers = load_section(&root, "transfers", &mut q, |el| parse_transfer(el, n_syms))?;
-
-        let path_stats = match root.get("path_stats") {
+        let path_stats = match root.path_stats {
             None => TransferPathStats::default(),
             Some(pj) => {
                 let arr = pj
@@ -400,10 +378,10 @@ impl CampaignExport {
             }
         };
 
-        let health = match root.get("health") {
+        let health = match root.health {
             None => None,
             Some(h) if h.is_null() => None,
-            Some(h) => Some(parse_health(h, &mut q)?),
+            Some(h) => Some(parse_health(&h, &mut q)?),
         };
 
         Ok(LoadedExport {
@@ -426,30 +404,334 @@ impl CampaignExport {
     }
 }
 
-fn section<'a>(root: &'a Json, key: &str) -> Result<&'a Json, String> {
-    root.get(key)
-        .ok_or_else(|| format!("campaign export has no {key:?} section ({})", root.at()))
+/// Read a file as text, decoding lossily: an export with a few corrupt
+/// bytes reaches the quarantine loader (which counts them as bad-utf8
+/// records) instead of failing the read. Valid UTF-8 is not copied.
+pub fn read_lossy(path: impl AsRef<Path>) -> Result<String, String> {
+    let path = path.as_ref();
+    let bytes = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    Ok(String::from_utf8(bytes)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()))
 }
 
-/// Stream one record section through `parse`, quarantining failures.
-fn load_section<T>(
-    root: &Json,
-    key: &str,
-    q: &mut QuarantineReport,
-    parse: impl Fn(&Json) -> Result<T, (Kind, String)>,
-) -> Result<Vec<T>, String> {
-    let sj = section(root, key)?;
-    let arr = sj
-        .as_arr()
-        .ok_or_else(|| format!("{key:?} must be an array {}", sj.at()))?;
-    let mut out = Vec::with_capacity(arr.len());
-    for (i, el) in arr.iter().enumerate() {
-        match parse(el) {
-            Ok(v) => out.push(v),
-            Err((kind, what)) => q.note(kind, format!("{key}[{i}] {}: {what}", el.at())),
+// ---------------------------------------------------------------------------
+// The streaming decoder
+// ---------------------------------------------------------------------------
+
+/// A record section's state while the root object is scanned.
+enum Section<T> {
+    Missing,
+    /// Skipped (and validated) during the scan, to be decoded from this
+    /// byte offset once the scan is over.
+    Deferred(usize),
+    /// Decoded, or fatally broken.
+    Done(Result<T, String>),
+}
+
+impl<T> Section<T> {
+    fn is_done(&self) -> bool {
+        matches!(self, Section::Done(_))
+    }
+}
+
+/// The root object after one scan: trees of the small sections, the
+/// record sections decoded or located.
+struct Root {
+    /// Byte offset of the root `{`.
+    at: usize,
+    version: Option<Json>,
+    config: Option<Json>,
+    window: Option<Json>,
+    path_stats: Option<Json>,
+    health: Option<Json>,
+    symbols: Section<SymbolTable>,
+    valid_sites: Section<HashSet<Sym>>,
+    jobs: Section<Vec<JobRecord>>,
+    files: Section<Vec<FileRecord>>,
+    transfers: Section<Vec<TransferRecord>>,
+}
+
+/// What decoding a section yields: `Err` is a syntax error (fatal for
+/// the whole document), `Ok(Err)` a fatal problem with the section that
+/// is only reported if the rest of the document parses.
+type Decoded<T> = Result<Result<T, String>, LexError>;
+
+/// Decodes the record sections straight from the source bytes.
+///
+/// The root keys may come in any order, but the checks and the
+/// quarantine notes must come in one fixed order (`symbols`,
+/// `valid_sites`, `jobs`, `files`, `transfers`): a record section is
+/// decoded during the scan when every section before it has been, and
+/// otherwise skipped and decoded from its offset after the scan. An
+/// export as the writer lays it out is therefore read in a single pass.
+/// No [`Json`] value is built for any element of these sections: each
+/// record's fields are lexed into one reused buffer of [`Tok`]s, and a
+/// byte offset becomes a line and column only for a diagnostic.
+struct Decoder<'a> {
+    src: &'a str,
+    lx: Lexer<'a>,
+    /// Positions for tree nodes and diagnostics.
+    cursor: Cursor,
+    q: QuarantineReport,
+    /// The symbol-table size, once `symbols` is decoded.
+    n_syms: Option<u32>,
+}
+
+impl<'a> Decoder<'a> {
+    fn new(src: &'a str) -> Self {
+        Decoder {
+            src,
+            lx: Lexer::new(src),
+            cursor: Cursor::default(),
+            q: QuarantineReport::default(),
+            n_syms: None,
         }
     }
-    Ok(out)
+
+    /// `"at line L column C"` for byte `off`.
+    fn at(&mut self, off: usize) -> String {
+        let (line, col) = self.cursor.at(self.src.as_bytes(), off);
+        format!("at line {line} column {col}")
+    }
+
+    /// Scan the root object (the lexer is on its `{`) to the end of the
+    /// document.
+    fn scan(&mut self) -> Result<Root, LexError> {
+        let mut root = Root {
+            at: self.lx.pos(),
+            version: None,
+            config: None,
+            window: None,
+            path_stats: None,
+            health: None,
+            symbols: Section::Missing,
+            valid_sites: Section::Missing,
+            jobs: Section::Missing,
+            files: Section::Missing,
+            transfers: Section::Missing,
+        };
+        self.lx.open(b'{')?;
+        let mut keys = Vec::new();
+        while let Some(key) = self.lx.member(&mut keys)? {
+            let slot = match &*key {
+                "version" => Some(&mut root.version),
+                "config" => Some(&mut root.config),
+                "window" => Some(&mut root.window),
+                "path_stats" => Some(&mut root.path_stats),
+                "health" => Some(&mut root.health),
+                _ => None,
+            };
+            if let Some(slot) = slot {
+                *slot = Some(self.lx.tree(&mut self.cursor)?);
+            } else {
+                let ready = self.n_syms.is_some();
+                match &*key {
+                    "symbols" => root.symbols = Section::Done(self.symbols()?),
+                    "valid_sites" => {
+                        root.valid_sites = self.section(ready, Self::valid_sites)?;
+                    }
+                    "jobs" => {
+                        root.jobs = self.section(ready && root.valid_sites.is_done(), |d| {
+                            d.records("jobs", 13, parse_job)
+                        })?;
+                    }
+                    "files" => {
+                        root.files = self.section(ready && root.jobs.is_done(), |d| {
+                            d.records("files", 8, parse_file)
+                        })?;
+                    }
+                    "transfers" => {
+                        root.transfers = self.section(ready && root.files.is_done(), |d| {
+                            d.records("transfers", 20, parse_transfer)
+                        })?;
+                    }
+                    _ => self.lx.skip_value()?,
+                }
+            }
+        }
+        self.lx.finish()?;
+        Ok(root)
+    }
+
+    /// Decode a section now if `ready`, else skip it for later.
+    fn section<T>(
+        &mut self,
+        ready: bool,
+        decode: impl FnOnce(&mut Self) -> Decoded<T>,
+    ) -> Result<Section<T>, LexError> {
+        if ready {
+            return decode(self).map(Section::Done);
+        }
+        let at = self.lx.pos();
+        self.lx.skip_value()?;
+        Ok(Section::Deferred(at))
+    }
+
+    /// A record section's final value, decoding it now if it was
+    /// deferred.
+    fn resolve<T>(
+        &mut self,
+        section: Section<T>,
+        key: &str,
+        root_at: &str,
+        decode: impl FnOnce(&mut Self) -> Decoded<T>,
+    ) -> Result<T, String> {
+        match section {
+            Section::Missing => Err(format!(
+                "campaign export has no {key:?} section ({root_at})"
+            )),
+            Section::Done(r) => r,
+            Section::Deferred(at) => {
+                self.lx = Lexer::resume(self.src, at, 1);
+                decode(self).map_err(|e| format!("campaign parse error {}", e.locate(self.src)))?
+            }
+        }
+    }
+
+    /// Quarantine the element at byte `el`. The example is only built
+    /// while the report still keeps examples.
+    fn quarantine(&mut self, kind: Kind, el: usize, example: impl FnOnce(String) -> String) {
+        let example = self.q.wants_example().then(|| {
+            let at = self.at(el);
+            example(at)
+        });
+        self.q.note(kind, example);
+    }
+
+    /// The lexer is on a section's value: open it if it is an array,
+    /// else skip it and say so.
+    fn open_array(&mut self, key: &str) -> Result<Result<(), String>, LexError> {
+        let at = self.lx.pos();
+        if self.lx.peek() == Some(b'[') {
+            self.lx.open(b'[')?;
+            return Ok(Ok(()));
+        }
+        self.lx.skip_value()?;
+        Ok(Err(format!("{key:?} must be an array {}", self.at(at))))
+    }
+
+    /// The symbol table, rebuilt by interning in file order so every Sym
+    /// id in the records resolves to the string it was written under.
+    fn symbols(&mut self) -> Decoded<SymbolTable> {
+        if let Err(e) = self.open_array("symbols")? {
+            return Ok(Err(e));
+        }
+        // Lexed first (strings borrowed from the source), so the table
+        // is sized once instead of growing by doubling.
+        let mut toks = Vec::new();
+        let mut first = true;
+        while self.lx.more_items(&mut first)? {
+            toks.push((self.lx.pos(), self.lx.token()?));
+        }
+        let mut symbols = SymbolTable::new();
+        symbols.reserve(
+            toks.len(),
+            toks.iter()
+                .filter_map(|(_, t)| t.as_str())
+                .map(str::len)
+                .sum(),
+        );
+        for (i, (el, tok)) in toks.iter().enumerate() {
+            if let Err(e) = self.symbol(&mut symbols, i, *el, tok) {
+                return Ok(Err(e));
+            }
+        }
+        self.n_syms = Some(symbols.len() as u32);
+        Ok(Ok(symbols))
+    }
+
+    /// Symbol `i` (at byte `el`) into `symbols`.
+    fn symbol(
+        &mut self,
+        symbols: &mut SymbolTable,
+        i: usize,
+        el: usize,
+        tok: &Tok,
+    ) -> Result<(), String> {
+        let Some(s) = tok.as_str() else {
+            return Err(format!("symbol {i} is not a string {}", self.at(el)));
+        };
+        if i == 0 {
+            if s != "UNKNOWN" {
+                return Err(format!(
+                    "symbol 0 must be the UNKNOWN sentinel, found {s:?} {}",
+                    self.at(el)
+                ));
+            }
+            return Ok(()); // already interned by SymbolTable::new()
+        }
+        if symbols.intern(s).0 as usize != i {
+            return Err(format!("duplicate symbol {s:?} {}", self.at(el)));
+        }
+        Ok(())
+    }
+
+    fn valid_sites(&mut self) -> Decoded<HashSet<Sym>> {
+        let n_syms = self.n_syms.expect("valid_sites is decoded after symbols");
+        if let Err(e) = self.open_array("valid_sites")? {
+            return Ok(Err(e));
+        }
+        let mut valid_sites = HashSet::new();
+        let mut first = true;
+        let mut i = 0usize;
+        while self.lx.more_items(&mut first)? {
+            let el = self.lx.pos();
+            match self.lx.token()?.as_u64() {
+                Some(s) if s < n_syms as u64 => {
+                    valid_sites.insert(Sym(s as u32));
+                }
+                Some(s) => self.quarantine(Kind::UnknownSiteSym, el, |at| {
+                    format!("valid_sites[{i}] {at}: symbol {s} past table of {n_syms}")
+                }),
+                None => self.quarantine(Kind::Malformed, el, |at| {
+                    format!("valid_sites[{i}] {at}: not a symbol id")
+                }),
+            }
+            i += 1;
+        }
+        Ok(Ok(valid_sites))
+    }
+
+    /// Stream one record section through `parse`, quarantining failures.
+    fn records<T>(
+        &mut self,
+        key: &str,
+        arity: usize,
+        parse: fn(&[Tok], u32) -> Result<T, RecErr>,
+    ) -> Decoded<Vec<T>> {
+        let n_syms = self.n_syms.expect("records are decoded after symbols");
+        if let Err(e) = self.open_array(key)? {
+            return Ok(Err(e));
+        }
+        let mut out = Vec::new();
+        let mut fields: Vec<Tok<'a>> = Vec::with_capacity(arity + 1);
+        let mut first = true;
+        let mut i = 0usize;
+        while self.lx.more_items(&mut first)? {
+            let el = self.lx.pos();
+            let rec = if self.lx.peek() == Some(b'[') {
+                fields.clear();
+                self.lx.open(b'[')?;
+                let mut first_field = true;
+                while self.lx.more_items(&mut first_field)? {
+                    fields.push(self.lx.token()?);
+                }
+                rec_arr(&fields, arity).and_then(|a| parse(a, n_syms))
+            } else {
+                self.lx.skip_value()?;
+                Err((Kind::Malformed, "record is not an array".to_string()))
+            };
+            match rec {
+                Ok(v) => out.push(v),
+                Err((kind, what)) => {
+                    self.quarantine(kind, el, |at| format!("{key}[{i}] {at}: {what}"));
+                }
+            }
+            i += 1;
+        }
+        out.shrink_to_fit();
+        Ok(Ok(out))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -653,10 +935,7 @@ type RecErr = (Kind, String);
 
 /// A record must be an array of exactly `arity` fields. Fewer is broken
 /// structure; *more* means a newer writer appended fields — version skew.
-fn rec_arr(el: &Json, arity: usize) -> Result<&[Json], RecErr> {
-    let arr = el
-        .as_arr()
-        .ok_or((Kind::Malformed, "record is not an array".to_string()))?;
+fn rec_arr<'t, 'a>(arr: &'t [Tok<'a>], arity: usize) -> Result<&'t [Tok<'a>], RecErr> {
     if arr.len() < arity {
         return Err((
             Kind::Malformed,
@@ -672,7 +951,7 @@ fn rec_arr(el: &Json, arity: usize) -> Result<&[Json], RecErr> {
     Ok(arr)
 }
 
-fn rec_u64(el: &Json, what: &str) -> Result<u64, RecErr> {
+fn rec_u64(el: &Tok, what: &str) -> Result<u64, RecErr> {
     el.as_u64().ok_or_else(|| {
         (
             Kind::Malformed,
@@ -681,12 +960,12 @@ fn rec_u64(el: &Json, what: &str) -> Result<u64, RecErr> {
     })
 }
 
-fn rec_bool(el: &Json, what: &str) -> Result<bool, RecErr> {
+fn rec_bool(el: &Tok, what: &str) -> Result<bool, RecErr> {
     el.as_bool()
         .ok_or_else(|| (Kind::Malformed, format!("{what} is not a boolean")))
 }
 
-fn rec_time(el: &Json, what: &str) -> Result<SimTime, RecErr> {
+fn rec_time(el: &Tok, what: &str) -> Result<SimTime, RecErr> {
     let ms = el
         .as_i64()
         .ok_or_else(|| (Kind::Malformed, format!("{what} is not a timestamp")))?;
@@ -699,9 +978,10 @@ fn rec_time(el: &Json, what: &str) -> Result<SimTime, RecErr> {
     Ok(SimTime::from_millis(ms))
 }
 
-fn rec_span(arr: &[Json], si: usize, ei: usize, what: &str) -> Result<(SimTime, SimTime), RecErr> {
-    let s = rec_time(&arr[si], &format!("{what} start"))?;
-    let e = rec_time(&arr[ei], &format!("{what} end"))?;
+/// The `[start, end]` pair of fields `si` and `ei` of a `what` record.
+fn rec_span(arr: &[Tok], si: usize, ei: usize, what: &str) -> Result<(SimTime, SimTime), RecErr> {
+    let s = rec_time(&arr[si], "start").map_err(|(k, e)| (k, format!("{what} {e}")))?;
+    let e = rec_time(&arr[ei], "end").map_err(|(k, e)| (k, format!("{what} {e}")))?;
     if e < s {
         return Err((
             Kind::OutOfRangeTime,
@@ -715,7 +995,7 @@ fn rec_span(arr: &[Json], si: usize, ei: usize, what: &str) -> Result<(SimTime, 
     Ok((s, e))
 }
 
-fn rec_sym(el: &Json, n_syms: u32, what: &str) -> Result<Sym, RecErr> {
+fn rec_sym(el: &Tok, n_syms: u32, what: &str) -> Result<Sym, RecErr> {
     let v = rec_u64(el, what)?;
     if v >= n_syms as u64 {
         return Err((
@@ -726,7 +1006,7 @@ fn rec_sym(el: &Json, n_syms: u32, what: &str) -> Result<Sym, RecErr> {
     Ok(Sym(v as u32))
 }
 
-fn rec_enum<'a>(el: &'a Json, what: &str) -> Result<&'a str, RecErr> {
+fn rec_enum<'t>(el: &'t Tok, what: &str) -> Result<&'t str, RecErr> {
     let s = el
         .as_str()
         .ok_or_else(|| (Kind::Malformed, format!("{what} is not a string")))?;
@@ -739,7 +1019,7 @@ fn rec_enum<'a>(el: &'a Json, what: &str) -> Result<&'a str, RecErr> {
     Ok(s)
 }
 
-fn rec_opt_u64(el: &Json, what: &str) -> Result<Option<u64>, RecErr> {
+fn rec_opt_u64(el: &Tok, what: &str) -> Result<Option<u64>, RecErr> {
     if el.is_null() {
         Ok(None)
     } else {
@@ -747,8 +1027,7 @@ fn rec_opt_u64(el: &Json, what: &str) -> Result<Option<u64>, RecErr> {
     }
 }
 
-fn parse_job(el: &Json, n_syms: u32) -> Result<JobRecord, RecErr> {
-    let a = rec_arr(el, 13)?;
+fn parse_job(a: &[Tok], n_syms: u32) -> Result<JobRecord, RecErr> {
     let creationtime = rec_time(&a[3], "creationtime")?;
     let (starttime, endtime) = rec_span(a, 4, 5, "job")?;
     let io_mode = match rec_enum(&a[8], "io_mode")? {
@@ -788,8 +1067,7 @@ fn parse_job(el: &Json, n_syms: u32) -> Result<JobRecord, RecErr> {
     })
 }
 
-fn parse_file(el: &Json, n_syms: u32) -> Result<FileRecord, RecErr> {
-    let a = rec_arr(el, 8)?;
+fn parse_file(a: &[Tok], n_syms: u32) -> Result<FileRecord, RecErr> {
     let direction = match rec_enum(&a[7], "direction")? {
         "input" => FileDirection::Input,
         "output" => FileDirection::Output,
@@ -807,8 +1085,7 @@ fn parse_file(el: &Json, n_syms: u32) -> Result<FileRecord, RecErr> {
     })
 }
 
-fn parse_transfer(el: &Json, n_syms: u32) -> Result<TransferRecord, RecErr> {
-    let a = rec_arr(el, 20)?;
+fn parse_transfer(a: &[Tok], n_syms: u32) -> Result<TransferRecord, RecErr> {
     let (starttime, endtime) = rec_span(a, 6, 7, "transfer")?;
     let activity = match rec_enum(&a[10], "activity")? {
         "analysis_download" => Activity::AnalysisDownload,
@@ -867,7 +1144,10 @@ fn parse_health(h: &Json, q: &mut QuarantineReport) -> Result<HealthSummary, Str
     for (i, el) in arr.iter().enumerate() {
         match parse_episode(el) {
             Ok(e) => episodes.push(e),
-            Err((kind, what)) => q.note(kind, format!("health.episodes[{i}] {}: {what}", el.at())),
+            Err((kind, what)) => q.note(
+                kind,
+                Some(format!("health.episodes[{i}] {}: {what}", el.at())),
+            ),
         }
     }
     let cj = h
@@ -889,10 +1169,13 @@ fn parse_health(h: &Json, q: &mut QuarantineReport) -> Result<HealthSummary, Str
 }
 
 fn parse_episode(el: &Json) -> Result<OpenEpisode, RecErr> {
-    let arr = el
+    let arr: Vec<Tok> = el
         .as_arr()
-        .ok_or((Kind::Malformed, "episode is not an array".to_string()))?;
-    let site_id = |e: &Json, what: &str| -> Result<SiteId, RecErr> {
+        .ok_or((Kind::Malformed, "episode is not an array".to_string()))?
+        .iter()
+        .map(Tok::of)
+        .collect();
+    let site_id = |e: &Tok, what: &str| -> Result<SiteId, RecErr> {
         let v = rec_u64(e, what)?;
         u32::try_from(v)
             .map(SiteId)

@@ -1,20 +1,34 @@
-//! A small position-tracking JSON reader/writer for the campaign format.
+//! A small JSON reader/writer for the campaign format and serve requests.
 //!
-//! The offline build environment stubs `serde_json` out, and the campaign
-//! loader needs something the stub never offered anyway: every parsed
-//! value remembers the **line and column** it started at, so a rejected
-//! export or a quarantined record can be reported as *where* in the file
-//! it went wrong, not just *that* it did.
+//! The offline build environment stubs `serde_json` out, and the readers
+//! here need something it never offered anyway: diagnostics that say
+//! *where* in the file something went wrong (1-based line and column,
+//! columns counting characters), not just *that* it did.
 //!
-//! The dialect is strict JSON with two deliberate relaxations on input:
-//! numbers are held as `f64` (every integer the campaign format emits is
-//! below 2^53, so the round-trip is exact), and object keys keep their
+//! There is one tokenizer, `Lexer`. It tracks only a byte offset and the
+//! nesting depth; a `Cursor` turns offsets into line and column, scanning
+//! forward, and only when something asks. Two readers sit on it:
+//!
+//! - [`parse`] builds a [`Json`] tree whose nodes carry their positions.
+//!   Serve requests, the export's small sections and the other artifacts
+//!   are read this way.
+//! - The campaign loader (`crate::export`) decodes the record sections
+//!   straight from tokens: scalars come out as `Tok`s (strings borrowed
+//!   from the source unless they hold escapes), arrays and objects inside
+//!   a record are validated and skipped, and no tree is built.
+//!
+//! Both accept and reject exactly the same documents with the same
+//! errors. The dialect is strict JSON with two deliberate relaxations on
+//! input: numbers are held as `f64` (every integer the campaign format
+//! emits is below 2^53, so the round-trip is exact; plain integers of up
+//! to 15 digits skip the float parser), and object keys keep their
 //! first-seen order (duplicates are rejected).
 //!
-//! The reader is recursive descent, so nesting is bounded by
-//! [`MAX_DEPTH`]: deeper input is a [`ParseError`], never a stack
-//! overflow. Serve request lines and campaign exports are untrusted.
+//! Nesting is bounded by [`MAX_DEPTH`]: deeper input is a [`ParseError`],
+//! never a stack overflow. Serve request lines and campaign exports are
+//! untrusted.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Deepest array/object nesting [`parse`] accepts: far above what the
@@ -98,22 +112,12 @@ impl Json {
 
     /// The number as a non-negative integer, if it is one exactly.
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if (0.0..=9_007_199_254_740_992.0).contains(&n) && n.fract() == 0.0 {
-            Some(n as u64)
-        } else {
-            None
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The number as a signed integer, if it is one exactly.
     pub fn as_i64(&self) -> Option<i64> {
-        let n = self.as_f64()?;
-        if n.abs() <= 9_007_199_254_740_992.0 && n.fract() == 0.0 {
-            Some(n as i64)
-        } else {
-            None
-        }
+        self.as_f64().and_then(exact_i64)
     }
 
     /// Is this `null`?
@@ -147,163 +151,486 @@ impl std::error::Error for ParseError {}
 
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(src: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-        line: 1,
-        col: 1,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos < p.bytes.len() {
-        return Err(p.err("trailing characters after the JSON document"));
-    }
-    Ok(v)
+    let mut lx = Lexer::new(src);
+    let mut cursor = Cursor::default();
+    let doc = (|| {
+        lx.skip_ws();
+        let v = lx.tree(&mut cursor)?;
+        lx.finish()?;
+        Ok(v)
+    })();
+    doc.map_err(|e: LexError| e.locate(src))
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The keys of a top-level object, in source order, or `None` when the
+/// document is valid JSON but not an object. Values are validated as
+/// [`parse`] would and skipped without being built, so classifying a
+/// large document by its keys costs one lexing pass and no tree.
+pub fn root_keys(src: &str) -> Result<Option<Vec<String>>, ParseError> {
+    let mut lx = Lexer::new(src);
+    let keys = (|| {
+        lx.skip_ws();
+        if lx.peek() != Some(b'{') {
+            lx.skip_value()?;
+            lx.finish()?;
+            return Ok(None);
+        }
+        lx.open(b'{')?;
+        let mut keys = Vec::new();
+        while lx.member(&mut keys)?.is_some() {
+            lx.skip_value()?;
+        }
+        lx.finish()?;
+        Ok(Some(keys.into_iter().map(Cow::into_owned).collect()))
+    })();
+    keys.map_err(|e: LexError| e.locate(src))
+}
+
+/// `n` as a non-negative integer, if it is one exactly (≤ 2^53).
+fn exact_u64(n: f64) -> Option<u64> {
+    ((0.0..=9_007_199_254_740_992.0).contains(&n) && n.fract() == 0.0).then_some(n as u64)
+}
+
+/// `n` as a signed integer, if it is one exactly (|n| ≤ 2^53).
+fn exact_i64(n: f64) -> Option<i64> {
+    (n.abs() <= 9_007_199_254_740_992.0 && n.fract() == 0.0).then_some(n as i64)
+}
+
+// ---------------------------------------------------------------------------
+// The tokenizer
+// ---------------------------------------------------------------------------
+
+/// A lexing failure at a byte offset; [`LexError::locate`] turns it into
+/// a [`ParseError`].
+#[derive(Debug)]
+pub(crate) struct LexError {
+    at: usize,
+    what: String,
+}
+
+impl LexError {
+    /// The error with its line and column in `src`.
+    pub(crate) fn locate(self, src: &str) -> ParseError {
+        let (line, col) = Cursor::default().at(src.as_bytes(), self.at);
+        ParseError {
+            line,
+            col,
+            what: self.what,
+        }
+    }
+}
+
+/// Converts byte offsets to 1-based (line, column), scanning forward from
+/// the last offset it converted. Columns count characters: the bytes of
+/// a multi-byte UTF-8 character advance it once, on the leading byte.
+pub(crate) struct Cursor {
+    off: usize,
     line: u32,
     col: u32,
+}
+
+impl Default for Cursor {
+    fn default() -> Self {
+        Cursor {
+            off: 0,
+            line: 1,
+            col: 1,
+        }
+    }
+}
+
+impl Cursor {
+    /// The position of byte `off` of `src`. Cheap for increasing offsets;
+    /// an offset behind the last one rescans from the start.
+    pub(crate) fn at(&mut self, src: &[u8], off: usize) -> (u32, u32) {
+        if off < self.off {
+            *self = Cursor::default();
+        }
+        // Counted in byte-wide lanes, 255 bytes at a time, rather than by
+        // a per-byte state machine: the trees after the record sections
+        // of a compact export sit 30 MB into its one line.
+        for chunk in src[self.off..off].chunks(255) {
+            let (mut newlines, mut chars) = (0u8, 0u8);
+            for &b in chunk {
+                newlines += (b == b'\n') as u8;
+                chars += (b & 0xC0 != 0x80) as u8;
+            }
+            if newlines == 0 {
+                self.col += chars as u32;
+            } else {
+                let last = chunk.iter().rposition(|&b| b == b'\n').expect("a newline");
+                self.line += newlines as u32;
+                self.col = 1 + chunk[last + 1..]
+                    .iter()
+                    .filter(|&&b| b & 0xC0 != 0x80)
+                    .count() as u32;
+            }
+        }
+        self.off = off;
+        (self.line, self.col)
+    }
+}
+
+/// One scalar value, or `Other` for a (validated, skipped) array or
+/// object. Strings borrow from the source unless they hold escapes.
+#[derive(Debug)]
+pub(crate) enum Tok<'a> {
+    Null,
+    Bool(bool),
+    /// A plain integer of at most 15 digits, so below 2^53 in magnitude;
+    /// `-0` is a `Num`, as it is not the integer 0 in the tree.
+    Int(i64),
+    Num(f64),
+    Str(Cow<'a, str>),
+    Other,
+}
+
+impl<'a> Tok<'a> {
+    /// The token view of a parsed value; containers are `Other`.
+    pub(crate) fn of(j: &'a Json) -> Tok<'a> {
+        match &j.value {
+            Value::Null => Tok::Null,
+            Value::Bool(b) => Tok::Bool(*b),
+            Value::Num(n) => Tok::Num(*n),
+            Value::Str(s) => Tok::Str(Cow::Borrowed(s)),
+            Value::Arr(_) | Value::Obj(_) => Tok::Other,
+        }
+    }
+
+    pub(crate) fn as_str(&self) -> Option<&str> {
+        match self {
+            Tok::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn as_bool(&self) -> Option<bool> {
+        match self {
+            Tok::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Exactly as [`Json::as_u64`].
+    pub(crate) fn as_u64(&self) -> Option<u64> {
+        match self {
+            Tok::Int(v) => u64::try_from(*v).ok(),
+            Tok::Num(n) => exact_u64(*n),
+            _ => None,
+        }
+    }
+
+    /// Exactly as [`Json::as_i64`].
+    pub(crate) fn as_i64(&self) -> Option<i64> {
+        match self {
+            Tok::Int(v) => Some(*v),
+            Tok::Num(n) => exact_i64(*n),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn is_null(&self) -> bool {
+        matches!(self, Tok::Null)
+    }
+}
+
+/// The one JSON tokenizer. It tracks only a byte offset and the nesting
+/// depth; positions are computed from offsets when something needs them.
+/// [`parse`] builds its tree on it, and the campaign loader decodes
+/// records from it directly.
+pub(crate) struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, what: impl Into<String>) -> ParseError {
-        ParseError {
-            line: self.line,
-            col: self.col,
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(src: &'a str) -> Self {
+        Lexer::resume(src, 0, 0)
+    }
+
+    /// A lexer at byte `pos` of `src`, inside `depth` open containers.
+    pub(crate) fn resume(src: &'a str, pos: usize, depth: usize) -> Self {
+        Lexer { src, pos, depth }
+    }
+
+    /// The current byte offset.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    fn err(&self, what: impl Into<String>) -> LexError {
+        LexError {
+            at: self.pos,
             what: what.into(),
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
     }
 
-    /// Advance one byte, maintaining the line/column counters. Multi-byte
-    /// UTF-8 sequences advance the column once, on their leading byte.
-    fn bump(&mut self) {
-        if let Some(b) = self.peek() {
-            self.pos += 1;
-            if b == b'\n' {
-                self.line += 1;
-                self.col = 1;
-            } else if b & 0xC0 != 0x80 {
-                self.col += 1;
-            }
-        }
-    }
-
-    fn skip_ws(&mut self) {
+    pub(crate) fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
+            self.pos += 1;
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
+    /// Only whitespace may follow the document.
+    pub(crate) fn finish(&mut self) -> Result<(), LexError> {
+        self.skip_ws();
+        if self.pos < self.src.len() {
+            return Err(self.err("trailing characters after the JSON document"));
+        }
+        Ok(())
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), LexError> {
         if self.peek() == Some(b) {
-            self.bump();
+            self.pos += 1;
             Ok(())
         } else {
             Err(self.err(format!("expected {:?}", b as char)))
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
-        let (line, col) = (self.line, self.col);
-        let wrap = |value| Json { value, line, col };
+    /// Enter the array or object opened by `b`, one level deeper.
+    pub(crate) fn open(&mut self, b: u8) -> Result<(), LexError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.expect(b)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+    }
+
+    /// Inside an [`open`](Self::open)ed array: move to the next element
+    /// and say whether there is one (`false` has consumed the `]`).
+    /// `first` is set before the first call.
+    pub(crate) fn more_items(&mut self, first: &mut bool) -> Result<bool, LexError> {
+        self.skip_ws();
+        if !std::mem::take(first) {
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    self.skip_ws();
+                    return Ok(true);
+                }
+                Some(b']') => {}
+                _ => return Err(self.err("expected ',' or ']' in array")),
+            }
+        } else if self.peek() != Some(b']') {
+            return Ok(true);
+        }
+        self.close();
+        Ok(false)
+    }
+
+    /// Inside an [`open`](Self::open)ed object: the next member's key,
+    /// with the lexer on its value, or `None` once the `}` is consumed.
+    /// `seen` collects the object's keys (empty before the first call);
+    /// a repeated key is an error at the repeat.
+    pub(crate) fn member(
+        &mut self,
+        seen: &mut Vec<Cow<'a, str>>,
+    ) -> Result<Option<Cow<'a, str>>, LexError> {
+        self.skip_ws();
+        if !seen.is_empty() {
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    self.skip_ws();
+                }
+                Some(b'}') => {
+                    self.close();
+                    return Ok(None);
+                }
+                _ => return Err(self.err("expected ',' or '}' in object")),
+            }
+        } else if self.peek() == Some(b'}') {
+            self.close();
+            return Ok(None);
+        }
+        let at = self.pos;
+        let key = self.string()?;
+        if seen.contains(&key) {
+            return Err(LexError {
+                at,
+                what: format!("duplicate key {key:?}"),
+            });
+        }
+        seen.push(key.clone());
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// The next value as a token: scalars decoded, arrays and objects
+    /// validated and skipped as [`Tok::Other`].
+    pub(crate) fn token(&mut self) -> Result<Tok<'a>, LexError> {
         match self.peek() {
-            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
-                Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
-            }
-            Some(b'{') => self.nested(Self::object).map(wrap),
-            Some(b'[') => self.nested(Self::array).map(wrap),
-            Some(b'"') => self.string().map(|s| wrap(Value::Str(s))),
-            Some(b't') => self.keyword("true").map(|()| wrap(Value::Bool(true))),
-            Some(b'f') => self.keyword("false").map(|()| wrap(Value::Bool(false))),
-            Some(b'n') => self.keyword("null").map(|()| wrap(Value::Null)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                self.number().map(|n| wrap(Value::Num(n)))
-            }
+            Some(b'{' | b'[') => self.skip_value().map(|()| Tok::Other),
+            Some(b'"') => self.string().map(Tok::Str),
+            Some(b't') => self.keyword("true").map(|()| Tok::Bool(true)),
+            Some(b'f') => self.keyword("false").map(|()| Tok::Bool(false)),
+            Some(b'n') => self.keyword("null").map(|()| Tok::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    /// Run `parse` one nesting level deeper.
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<Value, ParseError>,
-    ) -> Result<Value, ParseError> {
-        self.depth += 1;
-        let v = parse(self);
-        self.depth -= 1;
-        v
+    /// Skip one value, rejecting everything [`parse`] rejects.
+    pub(crate) fn skip_value(&mut self) -> Result<(), LexError> {
+        match self.peek() {
+            Some(b'[') => {
+                self.open(b'[')?;
+                let mut first = true;
+                while self.more_items(&mut first)? {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'{') => {
+                self.open(b'{')?;
+                let mut seen = Vec::new();
+                while self.member(&mut seen)?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            _ => {
+                self.token()?;
+            }
+        }
+        Ok(())
     }
 
-    fn keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            for _ in 0..kw.len() {
-                self.bump();
+    /// Build the [`Json`] tree of the next value; `cursor` supplies the
+    /// node positions.
+    pub(crate) fn tree(&mut self, cursor: &mut Cursor) -> Result<Json, LexError> {
+        let (line, col) = cursor.at(self.src.as_bytes(), self.pos);
+        let value = match self.peek() {
+            Some(b'[') => {
+                self.open(b'[')?;
+                let mut items = Vec::new();
+                let mut first = true;
+                while self.more_items(&mut first)? {
+                    items.push(self.tree(cursor)?);
+                }
+                Value::Arr(items)
             }
+            Some(b'{') => {
+                self.open(b'{')?;
+                let (mut seen, mut fields) = (Vec::new(), Vec::new());
+                while let Some(key) = self.member(&mut seen)? {
+                    let v = self.tree(cursor)?;
+                    fields.push((key.into_owned(), v));
+                }
+                Value::Obj(fields)
+            }
+            _ => match self.token()? {
+                Tok::Null => Value::Null,
+                Tok::Bool(b) => Value::Bool(b),
+                Tok::Int(v) => Value::Num(v as f64),
+                Tok::Num(n) => Value::Num(n),
+                Tok::Str(s) => Value::Str(s.into_owned()),
+                Tok::Other => unreachable!("containers are handled above"),
+            },
+        };
+        Ok(Json { value, line, col })
+    }
+
+    fn keyword(&mut self, kw: &str) -> Result<(), LexError> {
+        if self.src.as_bytes()[self.pos..].starts_with(kw.as_bytes()) {
+            self.pos += kw.len();
             Ok(())
         } else {
             Err(self.err(format!("expected {kw:?}")))
         }
     }
 
-    fn number(&mut self) -> Result<f64, ParseError> {
+    /// A number. Plain integers of up to 15 digits (all below 2^53, so
+    /// exact in an `f64`) are converted directly to a [`Tok::Int`];
+    /// everything else goes through `f64` parsing, so both paths accept
+    /// and round alike.
+    fn number(&mut self) -> Result<Tok<'a>, LexError> {
+        let bytes = self.src.as_bytes();
         let start = self.pos;
-        let (line, col) = (self.line, self.col);
-        if self.peek() == Some(b'-') {
-            self.bump();
+        let neg = bytes.get(start) == Some(&b'-');
+        let digits = start + neg as usize;
+        let run = bytes[digits..]
+            .iter()
+            .take_while(|c| c.is_ascii_digit())
+            .count();
+        let end = digits + run;
+        let v = bytes[digits..end].iter().fold(0i64, |v, &c| {
+            v.wrapping_mul(10).wrapping_add((c - b'0') as i64)
+        });
+        if (1..=15).contains(&run)
+            && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E'))
+            && !(neg && v == 0)
+        {
+            self.pos = end;
+            return Ok(Tok::Int(if neg { -v } else { v }));
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.bump();
-        }
-        if self.peek() == Some(b'.') {
-            self.bump();
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
+        self.pos = end;
+        let skip_digits = |lx: &mut Self| {
+            while matches!(lx.peek(), Some(c) if c.is_ascii_digit()) {
+                lx.pos += 1;
             }
+        };
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            skip_digits(self);
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.bump();
+            self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.bump();
+                self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
+            skip_digits(self);
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .ok()
             .filter(|n| n.is_finite())
-            .ok_or(ParseError {
-                line,
-                col,
+            .map(Tok::Num)
+            .ok_or(LexError {
+                at: start,
                 what: format!("invalid number {text:?}"),
             })
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// A string, borrowed from the source when it holds no escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, LexError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.src.as_bytes();
+        let start = self.pos;
+        let run = bytes[start..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .map_or(bytes.len(), |n| start + n);
+        self.pos = run;
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.src[start..run]));
+        }
+        let mut out = String::from(&self.src[start..run]);
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
-                    self.bump();
-                    return Ok(out);
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
-                    self.bump();
+                    self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
@@ -314,45 +641,48 @@ impl<'a> Parser<'a> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            self.bump();
-                            let cp = self.hex4()?;
-                            let ch = if (0xD800..0xDC00).contains(&cp) {
-                                // Surrogate pair: require the low half.
-                                self.keyword("\\u")
-                                    .map_err(|_| self.err("lone high surrogate"))?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(c).ok_or_else(|| self.err("invalid code point"))?
-                            } else {
-                                char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?
-                            };
-                            out.push(ch);
+                            self.pos += 1;
+                            out.push(self.unicode_escape()?);
                             continue;
                         }
                         _ => return Err(self.err("invalid escape sequence")),
                     }
-                    self.bump();
+                    self.pos += 1;
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    let start = self.pos;
-                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
-                        self.bump();
-                    }
-                    // The source is a &str, so the slice is valid UTF-8.
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf-8 source"),
-                    );
+                    let run = bytes[self.pos..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                        .map_or(bytes.len(), |n| self.pos + n);
+                    // The slice ends before an ASCII byte or at the end of
+                    // the source, so it is whole characters.
+                    out.push_str(&self.src[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        // Called with `pos` on the first hex digit ('u' already consumed).
+    /// The character of a `\u` escape, `pos` on its first hex digit.
+    fn unicode_escape(&mut self) -> Result<char, LexError> {
+        let cp = self.hex4()?;
+        if (0xD800..0xDC00).contains(&cp) {
+            // Surrogate pair: require the low half.
+            self.keyword("\\u")
+                .map_err(|_| self.err("lone high surrogate"))?;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(self.err("invalid low surrogate"));
+            }
+            let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+            char::from_u32(c).ok_or_else(|| self.err("invalid code point"))
+        } else {
+            char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))
+        }
+    }
+
+    fn hex4(&mut self) -> Result<u32, LexError> {
         let mut v = 0u32;
         for _ in 0..4 {
             let d = match self.peek() {
@@ -362,68 +692,9 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("invalid \\u escape")),
             };
             v = v * 16 + d;
-            self.bump();
+            self.pos += 1;
         }
         Ok(v)
-    }
-
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.bump();
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.bump(),
-                Some(b']') => {
-                    self.bump();
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.bump();
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key_pos = (self.line, self.col);
-            let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(ParseError {
-                    line: key_pos.0,
-                    col: key_pos.1,
-                    what: format!("duplicate key {key:?}"),
-                });
-            }
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.bump(),
-                Some(b'}') => {
-                    self.bump();
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
     }
 }
 
@@ -635,6 +906,140 @@ mod tests {
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_i64(), Some(-1));
+    }
+
+    /// The reference integer views of `text`: parse it as an `f64`, then
+    /// accept exact integers up to 2^53 in magnitude.
+    fn f64_oracle(text: &str) -> (u64, Option<u64>, Option<i64>) {
+        let n: f64 = text.parse().unwrap();
+        let u =
+            ((0.0..=9_007_199_254_740_992.0).contains(&n) && n.fract() == 0.0).then_some(n as u64);
+        let i = (n.abs() <= 9_007_199_254_740_992.0 && n.fract() == 0.0).then_some(n as i64);
+        (n.to_bits(), u, i)
+    }
+
+    /// The number token of `text`, by the tokenizer and through the tree.
+    fn both_ways(text: &str) -> [(u64, Option<u64>, Option<i64>); 2] {
+        let tok = Lexer::new(text).token().unwrap();
+        let n = match tok {
+            Tok::Int(v) => v as f64,
+            Tok::Num(n) => n,
+            _ => panic!("{text} is not a number token"),
+        };
+        let j = parse(text).unwrap();
+        [
+            (n.to_bits(), tok.as_u64(), tok.as_i64()),
+            (j.as_f64().unwrap().to_bits(), j.as_u64(), j.as_i64()),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn numbers_decode_like_f64_parsing(
+            neg in any::<bool>(),
+            int in "[0-9]{1,20}",
+            frac in (any::<bool>(), "[0-9]{0,4}"),
+            exp in (any::<bool>(), -20i32..20),
+        ) {
+            let mut text = format!("{}{int}", if neg { "-" } else { "" });
+            if frac.0 {
+                text = format!("{text}.{}", frac.1);
+            }
+            if exp.0 {
+                text = format!("{text}e{}", exp.1);
+            }
+            if text.parse::<f64>().is_ok_and(f64::is_finite) {
+                let want = f64_oracle(&text);
+                prop_assert_eq!(both_ways(&text), [want, want], "{}", text);
+            } else {
+                prop_assert!(parse(&text).is_err(), "{}", text);
+            }
+        }
+    }
+
+    #[test]
+    fn integer_edge_cases_decode_like_f64_parsing() {
+        for text in [
+            "1.0",
+            "1e3",
+            "-0",
+            "0",
+            "01",
+            "999999999999999",
+            "1000000000000000",
+            "9007199254740992",
+            "9007199254740993",
+            "-9007199254740992",
+            "-9007199254740993",
+            "18446744073709551616",
+            "2.5e-1",
+        ] {
+            let want = f64_oracle(text);
+            assert_eq!(both_ways(text), [want, want], "{text}");
+        }
+        // 2^53 + 1 rounds to 2^53 as an f64, so it reads as 2^53.
+        assert_eq!(
+            f64_oracle("9007199254740993").1,
+            Some(9_007_199_254_740_992)
+        );
+        assert_eq!(f64_oracle("-0").0, (-0.0f64).to_bits());
+    }
+
+    /// `(line, col)` of byte `off`: lines split at `\n`, columns count
+    /// characters.
+    fn line_col(src: &str, off: usize) -> (u32, u32) {
+        let before = &src[..off];
+        let line = before.matches('\n').count() + 1;
+        let col = before.rsplit('\n').next().unwrap().chars().count() + 1;
+        (line as u32, col as u32)
+    }
+
+    #[test]
+    fn positions_count_crlf_and_multibyte_characters() {
+        let src = "{\r\n  \"é日🚀\": [\r\n    1, \"🚀\",\r\n    {\"k\": null}\r\n  ]\r\n}";
+        let j = parse(src).unwrap();
+        let arr = j.get("é日🚀").unwrap();
+        let items = arr.as_arr().unwrap();
+        let at = |needle: &str| line_col(src, src.find(needle).unwrap());
+        assert_eq!((j.line, j.col), (1, 1));
+        assert_eq!((arr.line, arr.col), at("[\r\n    1"));
+        assert_eq!((items[0].line, items[0].col), at("1,"));
+        assert_eq!((items[1].line, items[1].col), at("\"🚀\","));
+        assert_eq!((items[2].line, items[2].col), at("{\"k\""));
+        let k = items[2].get("k").unwrap();
+        assert_eq!((k.line, k.col), at("null"));
+        // Errors after a CRLF and multi-byte characters.
+        let bad = src.replace("null", "nul");
+        let err = parse(&bad).unwrap_err();
+        assert_eq!(
+            (err.line, err.col),
+            line_col(&bad, bad.find("nul}").unwrap())
+        );
+        let bad = src.replace("\"🚀\",", "\"🚀\" ,]");
+        let err = parse(&bad).unwrap_err();
+        assert_eq!(
+            (err.line, err.col),
+            line_col(&bad, bad.find(",]").unwrap() + 1)
+        );
+    }
+
+    #[test]
+    fn root_keys_skip_values_and_keep_parse_errors() {
+        let keys = root_keys(" {\"b\": [1, {\"x\": 2}], \"a\": \"s\"} ").unwrap();
+        assert_eq!(keys, Some(vec!["b".to_string(), "a".to_string()]));
+        assert_eq!(root_keys("[1, 2]").unwrap(), None);
+        for bad in [
+            "{\"a\": 1, \"a\": 2}",
+            "{\"a\": [1, {\"x\": 1, \"x\": 2}]}",
+            "{\"a\": 1} x",
+            "{\"a\": tru}",
+        ] {
+            assert_eq!(
+                root_keys(bad).unwrap_err(),
+                parse(bad).unwrap_err(),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

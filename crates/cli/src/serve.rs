@@ -410,8 +410,7 @@ impl ServeState {
                 .ok_or_else(|| "no reload path configured".to_string())?,
         };
         let outcome = (|| {
-            let json = std::fs::read_to_string(&path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
+            let json = crate::export::read_lossy(&path)?;
             load_store_gen(&json, &path.display().to_string(), cfg.max_quarantine_frac)
         })();
         match outcome {
@@ -1431,6 +1430,33 @@ mod tests {
         let _ = c.round_trip("{\"cmd\":\"reload\"}");
         let b = c.round_trip("{\"cmd\":\"match\",\"method\":\"exact\",\"full\":true}");
         assert_eq!(a, b, "reload of identical content changed replies");
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reload_quarantines_an_invalid_utf8_byte_like_the_initial_load() {
+        let dir = std::env::temp_dir().join(format!("dmsa-serve-lossy-{}", std::process::id()));
+        let _ = std::fs::create_dir_all(&dir);
+        let json = tiny_export_json();
+        // One byte of one job's enum string is no longer UTF-8.
+        let mut bytes = json.clone().into_bytes();
+        let at = bytes
+            .windows(12)
+            .position(|w| w == b"\"stage_in\",\"")
+            .expect("a stage_in job");
+        bytes[at + 2] = 0xFF;
+        let path = dir.join("campaign.json");
+        std::fs::write(&path, &bytes).unwrap();
+
+        let server =
+            Server::start(ServeConfig::default(), test_gen(&json), Some(path.clone())).unwrap();
+        let mut c = Client::connect(server.local_addr());
+        let reply = c.round_trip("{\"cmd\":\"reload\"}");
+        assert!(reply.contains("\"generation\":2"), "{reply}");
+        let health = c.round_trip("{\"cmd\":\"health\"}");
+        assert!(health.contains("\"reloads_ok\":1"), "{health}");
+        assert!(health.contains("\"quarantined\":1"), "{health}");
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -155,20 +155,27 @@ pub fn verify_file(path: &Path) -> FileVerdict {
             }
         }
     };
-    let doc = match json::parse(text) {
-        Ok(v) => v,
-        Err(e) => {
-            return FileVerdict::Corrupt {
-                kind: "json",
-                reason: format!("unparseable JSON: {e}"),
-            }
-        }
+    // Classify by the top-level keys alone: a campaign export is then
+    // decoded once, by the loader, never also as a tree.
+    let unparseable = |e: json::ParseError| FileVerdict::Corrupt {
+        kind: "json",
+        reason: format!("unparseable JSON: {e}"),
     };
-    if let Some(schema) = doc.get("schema").and_then(|v| v.as_str()) {
-        return match schema {
-            crate::sweep::SWEEP_SCHEMA => verify_sweep_summary(path, &doc),
-            crate::sweep::OPS_SCHEMA => verify_sweep_ops(&doc),
-            other => FileVerdict::Corrupt {
+    let keys = match json::root_keys(text) {
+        Ok(keys) => keys.unwrap_or_default(),
+        Err(e) => return unparseable(e),
+    };
+    let has = |key: &str| keys.iter().any(|k| k == key);
+    if has("schema") {
+        // Sweep summaries and their ops sidecars are small: read the tree.
+        let doc = match json::parse(text) {
+            Ok(v) => v,
+            Err(e) => return unparseable(e),
+        };
+        return match doc.get("schema").and_then(|v| v.as_str()) {
+            Some(crate::sweep::SWEEP_SCHEMA) => verify_sweep_summary(path, &doc),
+            Some(crate::sweep::OPS_SCHEMA) => verify_sweep_ops(&doc),
+            Some(other) => FileVerdict::Corrupt {
                 kind: "sweep-summary",
                 reason: format!(
                     "schema {other:?} found, expected {:?} or {:?} (version skew)",
@@ -176,18 +183,16 @@ pub fn verify_file(path: &Path) -> FileVerdict {
                     crate::sweep::OPS_SCHEMA
                 ),
             },
+            None => FileVerdict::Corrupt {
+                kind: "sweep-summary",
+                reason: "schema tag present but not a string".into(),
+            },
         };
     }
-    if doc.get("schema").is_some() {
-        return FileVerdict::Corrupt {
-            kind: "sweep-summary",
-            reason: "schema tag present but not a string".into(),
-        };
-    }
-    if doc.get("method").is_some() {
+    if has("method") {
         return verify_matchset(text);
     }
-    if doc.get("version").is_some() && doc.get("config").is_some() {
+    if has("version") && has("config") {
         return verify_campaign(text);
     }
     FileVerdict::Skipped {
